@@ -1,4 +1,4 @@
-// Shared helpers for the per-figure benchmark binaries.
+// Shared helpers for the per-figure bench bodies and the bench_suite driver.
 #pragma once
 
 #include <fcntl.h>
@@ -31,8 +31,9 @@ struct CapturedSpec {
 /// exports — capturing every sweep's fully tuned spec and grid size. Bench
 /// bodies still print their human-readable headings, so stdout is parked on
 /// /dev/null for the duration. Shared by bench_suite (export-grid, --grid,
-/// queue-init, --points validation) and the grid round-trip test, so both
-/// see identical capture semantics.
+/// queue-init, queue workers, --points validation) and the grid round-trip
+/// test, so all of them see identical capture semantics: a captured spec is
+/// exactly what the compiled-in run executes.
 inline std::vector<CapturedSpec> CaptureSpecs(const std::vector<BenchInfo>& benches,
                                               int scale) {
   std::vector<CapturedSpec> specs;
@@ -49,8 +50,6 @@ inline std::vector<CapturedSpec> CaptureSpecs(const std::vector<BenchInfo>& benc
     captured.spec.enumerate_sink = nullptr;
     captured.spec.observer = nullptr;
     captured.spec.shard = core::SweepShard{};
-    captured.spec.only_sweep.clear();
-    captured.spec.export_only = false;
     captured.spec.time_budget_seconds = 0.0;
     specs.push_back(std::move(captured));
   };
@@ -73,7 +72,7 @@ inline std::vector<CapturedSpec> CaptureSpecs(const std::vector<BenchInfo>& benc
 }
 
 /// Repetitions per (client, mode) point. The paper uses 100; 25 keeps every
-/// bench binary comfortably fast while the medians are already stable
+/// bench comfortably fast while the medians are already stable
 /// (the simulator's only noise sources are signing jitter and quirk draws).
 /// `bench_suite --scale` multiplies this via Tune().
 inline constexpr int kRepetitions = 25;
@@ -114,15 +113,11 @@ inline core::SweepSpec& TuneObserver(core::SweepSpec& spec, const BenchContext& 
     }
   }
   spec.shard = ctx.shard;
-  spec.only_sweep = ctx.sweep_filter;
   spec.enumerate_sink = ctx.enumerate;
   spec.qlog_dir = ctx.qlog_dir;
   if (ctx.budget_seconds > 0.0 && spec.time_budget_seconds == 0.0) {
     spec.time_budget_seconds = ctx.RemainingBudgetSeconds();
   }
-  // The grid rewrite runs last, so a scenario file's data (repetitions,
-  // axes, base config) wins over --scale and the compiled-in grid.
-  if (ctx.rewrite) ctx.rewrite(spec);
   return spec;
 }
 
@@ -139,26 +134,10 @@ inline core::SweepSpec& Tune(core::SweepSpec& spec, const BenchContext& ctx) {
 /// Call after RunSweep; when it returns true the partial has been exported
 /// and the bench should return 0 without further processing of `result`.
 inline bool PartialExported(const core::SweepResult& result) {
-  // Enumerate-only passes (queue-init, --points validation) produce no data
-  // and must not write or warn; the sink already saw everything. Sweeps
-  // deselected by only_sweep (siblings of a targeted sweep) ran nothing and
-  // write nothing.
-  if (result.enumerate_only || result.deselected) return true;
-  if (!result.partial()) {
-    if (!result.export_only) return false;
-    // A full grid-driven run: export the final data pair but skip the
-    // bench's printed analysis, which may index points a data-defined grid
-    // dropped.
-    if (!core::MaybeWriteSweepData(result)) {
-      std::fprintf(stderr,
-                   "[%s] WARNING: grid-run result NOT exported (set QUICER_DATA_DIR / "
-                   "--data-dir)\n",
-                   result.name.c_str());
-    }
-    std::printf("[%s] grid run: %zu points, %zu runs — data exported, analysis skipped.\n",
-                result.name.c_str(), result.points.size(), result.executed_runs);
-    return true;
-  }
+  // Enumerate-only passes (spec capture) produce no data and must not write
+  // or warn; the sink already saw everything.
+  if (result.enumerate_only) return true;
+  if (!result.partial()) return false;
   const bool wrote = core::MaybeWriteSweepData(result);
   if (!wrote) {
     std::fprintf(stderr,
@@ -187,22 +166,13 @@ inline bool PartialExported(const core::SweepResult& result) {
 /// exports, partial ones their partial files) and the joint analysis — which
 /// needs all of them complete — is skipped.
 inline bool AnyPartialExported(std::initializer_list<const core::SweepResult*> results) {
-  for (const core::SweepResult* result : results) {
-    if (result->enumerate_only) return true;
-  }
-  bool any = false;
   bool any_partial = false;
   for (const core::SweepResult* result : results) {
-    if (result->deselected) {
-      any = true;  // a sibling executed instead; the joint analysis cannot run
-      continue;
-    }
+    if (result->enumerate_only) return true;
     any_partial = any_partial || result->partial();
-    any = any || result->partial() || result->export_only;
   }
-  if (!any) return false;
+  if (!any_partial) return false;
   for (const core::SweepResult* result : results) {
-    if (result->deselected) continue;  // nothing ran, nothing to write
     if (!core::MaybeWriteSweepData(*result)) {
       std::fprintf(stderr,
                    "[%s] WARNING: partial result NOT exported (set QUICER_DATA_DIR / "
@@ -210,14 +180,8 @@ inline bool AnyPartialExported(std::initializer_list<const core::SweepResult*> r
                    result->name.c_str());
     }
   }
-  if (any_partial) {
-    std::printf("(partial run — analysis skipped; combine the partial exports with "
-                "`bench_suite merge`.)\n");
-  } else {
-    // Full grid-driven runs wrote final exports, not partials — pointing
-    // the user at `merge` would have them feed it non-partial documents.
-    std::printf("(grid run — data exported, analysis skipped.)\n");
-  }
+  std::printf("(partial run — analysis skipped; combine the partial exports with "
+              "`bench_suite merge`.)\n");
   return true;
 }
 

@@ -12,6 +12,11 @@
 // execute → merge pipeline, and `queue-init --grid` plans a distributed run
 // from one — scenario authorship is a data task, not a C++ task.
 //
+// Bench bodies run only on the compiled-in path (`bench_suite [--filter]`).
+// `run --grid` and queue workers execute resolved specs instead: the sweep
+// spec a body declares, captured by CaptureSpecs, with the scenario (if any)
+// applied — exactly the spec whose content-hash the queue plan records.
+//
 //
 // lint:allow-file(ND002): the driver times sweeps, budgets, and heartbeats
 // with the wall clock; no wall-clock value reaches an exported byte.
@@ -49,6 +54,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -191,8 +197,8 @@ int Usage(const char* argv0) {
       "                compiled-in grids. The directory may be local, on\n"
       "                NFS, or rsync'd between hosts.\n"
       "  worker        claim units from the queue (atomic rename leases),\n"
-      "                execute them through the registered benches, publish\n"
-      "                partial results; heartbeats let peers reclaim units of\n"
+      "                execute each unit's resolved sweep, publish partial\n"
+      "                results; heartbeats let peers reclaim units of\n"
       "                crashed workers after --lease-seconds (default 60);\n"
       "                failed units re-queue up to --retries times\n"
       "                (default 1) before parking in failed/\n"
@@ -289,6 +295,140 @@ bool ParseRepRange(const std::string& value, quicer::core::SweepShard& shard) {
   shard.rep_begin = static_cast<std::size_t>(begin);
   shard.rep_end = static_cast<std::size_t>(stop);
   return true;
+}
+
+/// Options shared by the default run and `run --grid`.
+struct RunOptions {
+  BenchContext context;
+  std::string telemetry_path;
+};
+
+enum class RunOption { kParsed, kInvalid, kUnknown };
+
+/// Parses one of the options the default run and `run --grid` both accept.
+/// kInvalid means the value was rejected (the reason is already printed);
+/// kUnknown leaves the argument to the caller.
+RunOption ParseRunOption(const std::string& arg, RunOptions& options) {
+  BenchContext& context = options.context;
+  if (arg.rfind("--telemetry=", 0) == 0) {
+    options.telemetry_path = arg.substr(std::strlen("--telemetry="));
+  } else if (arg.rfind("--qlog-dir=", 0) == 0) {
+    context.qlog_dir = arg.substr(std::strlen("--qlog-dir="));
+    if (!PrepareQlogDir(context.qlog_dir)) return RunOption::kInvalid;
+  } else if (arg.rfind("--threads=", 0) == 0) {
+    // Must be set before the first ThreadPool::Global() use.
+    setenv("QUICER_THREADS", arg.c_str() + std::strlen("--threads="), 1);
+  } else if (arg.rfind("--data-dir=", 0) == 0) {
+    const char* dir = arg.c_str() + std::strlen("--data-dir=");
+    // CsvWriter silently deactivates when the directory is missing.
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "cannot create data dir '%s': %s\n", dir, ec.message().c_str());
+      return RunOption::kInvalid;
+    }
+    setenv("QUICER_DATA_DIR", dir, 1);
+  } else if (arg == "--progress") {
+    context.progress = true;
+  } else if (arg.rfind("--budget-seconds=", 0) == 0) {
+    context.budget_seconds =
+        std::strtod(arg.c_str() + std::strlen("--budget-seconds="), nullptr);
+  } else if (arg.rfind("--shard=", 0) == 0) {
+    if (!ParseShard(arg.substr(std::strlen("--shard=")), context.shard)) {
+      std::fprintf(stderr, "invalid --shard '%s' (expected I/N with 0 <= I < N)\n",
+                   arg.c_str());
+      return RunOption::kInvalid;
+    }
+  } else if (arg.rfind("--points=", 0) == 0) {
+    if (!ParsePoints(arg.substr(std::strlen("--points=")), context.shard.points)) {
+      std::fprintf(stderr, "invalid --points '%s' (expected ID,ID,...)\n", arg.c_str());
+      return RunOption::kInvalid;
+    }
+  } else if (arg.rfind("--rep-range=", 0) == 0) {
+    if (!ParseRepRange(arg.substr(std::strlen("--rep-range=")), context.shard)) {
+      std::fprintf(stderr, "invalid --rep-range '%s' (expected A:B with 0 <= A < B,"
+                   " or A: for 'to the end')\n", arg.c_str());
+      return RunOption::kInvalid;
+    }
+  } else {
+    return RunOption::kUnknown;
+  }
+  return RunOption::kParsed;
+}
+
+/// A sharded run's only useful product is its partial-result files; without
+/// a data dir the whole run would be silently discarded.
+bool RequireDataDirForSubset(const BenchContext& context) {
+  if (context.shard.all() || std::getenv("QUICER_DATA_DIR") != nullptr) return true;
+  std::fprintf(stderr,
+               "--shard/--points/--rep-range produce partial-result files: pass "
+               "--data-dir=DIR (or set QUICER_DATA_DIR)\n");
+  return false;
+}
+
+/// One timed entry of a run: a bench body (the default path) or a resolved
+/// scenario (`run --grid`).
+struct RunJob {
+  std::string label;
+  std::string bench;  // telemetry attribution
+  std::function<int(const BenchContext&)> run;
+};
+
+/// Runs the jobs in order under one suite budget, writes the --telemetry
+/// report and prints the per-job wall-clock table. Exit 1 if any job failed.
+int RunJobs(const std::vector<RunJob>& jobs, RunOptions& options, const char* column,
+            const std::string& what) {
+  struct Timing {
+    std::string label;
+    double seconds;
+    int exit_code;
+  };
+  std::vector<Timing> timings;
+  options.context.suite_start = std::chrono::steady_clock::now();
+  if (!options.telemetry_path.empty()) quicer::obs::EnableProcess();
+  int failures = 0;
+  for (const RunJob& job : jobs) {
+    quicer::obs::SetCurrentBench(job.bench);
+    const auto start = std::chrono::steady_clock::now();
+    const int code = job.run(options.context);
+    timings.push_back({job.label, SecondsSince(start), code});
+    if (code != 0) ++failures;
+  }
+  quicer::obs::SetCurrentBench("");
+  if (!options.telemetry_path.empty() &&
+      !WriteTelemetryReport(quicer::obs::TakeSweepRecords(), options.telemetry_path)) {
+    return 1;
+  }
+
+  std::printf("\n%-24s %10s  %s\n", column, "wall [s]", "status");
+  for (const Timing& timing : timings) {
+    std::printf("%-24s %10.2f  %s\n", timing.label.c_str(), timing.seconds,
+                timing.exit_code == 0 ? "ok" : "FAILED");
+  }
+  std::printf("%-24s %10.2f  (%zu %s, pool of %u threads)\n", "total",
+              SecondsSince(options.context.suite_start), timings.size(), what.c_str(),
+              quicer::core::ThreadPool::Global().size());
+  return failures == 0 ? 0 : 1;
+}
+
+/// Executes one resolved sweep (a captured live spec, with a scenario
+/// applied for grid runs) under the run context, without entering its
+/// bench body, and writes its exports into QUICER_DATA_DIR: the partial
+/// file for a grid subset, the final pair otherwise. The body's printed
+/// analysis may index points an edited grid dropped, so it never runs here.
+int RunResolvedSweep(quicer::core::SweepSpec spec, const BenchContext& context) {
+  quicer::bench::TuneObserver(spec, context);
+  const quicer::core::SweepResult result = quicer::core::RunSweep(spec);
+  if (quicer::bench::PartialExported(result)) return 0;
+  if (!quicer::core::MaybeWriteSweepData(result)) {
+    std::fprintf(stderr,
+                 "[%s] WARNING: grid-run result NOT exported (set QUICER_DATA_DIR / "
+                 "--data-dir)\n",
+                 result.name.c_str());
+  }
+  std::printf("[%s] grid run: %zu points, %zu runs — data exported, analysis skipped.\n",
+              result.name.c_str(), result.points.size(), result.executed_runs);
+  return 0;
 }
 
 using quicer::bench::CapturedSpec;
@@ -425,29 +565,6 @@ std::optional<GridPlan> LoadGrid(const std::string& text, std::string& error) {
   return plan;
 }
 
-/// The rewrite hook a grid scenario installs: overwrites the matching
-/// sweep's data with the scenario's and flips it to data-export-only mode
-/// (a data-defined grid may drop the points the bench's printed analysis
-/// indexes). Resolution errors deselect the sweep outright — the run then
-/// produces no export for it, which the caller reports.
-std::function<void(quicer::core::SweepSpec&)> GridRewrite(
-    std::shared_ptr<quicer::core::Scenario> scenario) {
-  return [scenario](quicer::core::SweepSpec& spec) {
-    if (spec.name != scenario->sweep) return;
-    std::string error;
-    if (!quicer::core::ApplyScenario(*scenario, spec, &error)) {
-      // Validated at load time; a failure here means the compiled grid
-      // changed under us. Refuse to run anything rather than run the wrong
-      // grid.
-      std::fprintf(stderr, "[%s] grid rewrite failed: %s\n", spec.name.c_str(),
-                   error.c_str());
-      spec.only_sweep = "!grid-rewrite-failed";
-      return;
-    }
-    spec.export_only = true;
-  };
-}
-
 int RunExportGrid(int argc, char** argv) {
   std::vector<std::string> names;
   std::string out_path;
@@ -536,51 +653,16 @@ int RunExportGrid(int argc, char** argv) {
 
 int RunGrid(int argc, char** argv) {
   std::string grid_path;
-  std::string telemetry_path;
-  BenchContext context;
+  RunOptions options;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--grid=", 0) == 0) {
       grid_path = arg.substr(std::strlen("--grid="));
-    } else if (arg.rfind("--telemetry=", 0) == 0) {
-      telemetry_path = arg.substr(std::strlen("--telemetry="));
-    } else if (arg.rfind("--qlog-dir=", 0) == 0) {
-      context.qlog_dir = arg.substr(std::strlen("--qlog-dir="));
-      if (!PrepareQlogDir(context.qlog_dir)) return 2;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      setenv("QUICER_THREADS", arg.c_str() + std::strlen("--threads="), 1);
-    } else if (arg.rfind("--data-dir=", 0) == 0) {
-      const char* dir = arg.c_str() + std::strlen("--data-dir=");
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      if (ec) {
-        std::fprintf(stderr, "cannot create data dir '%s': %s\n", dir, ec.message().c_str());
-        return 2;
-      }
-      setenv("QUICER_DATA_DIR", dir, 1);
-    } else if (arg == "--progress") {
-      context.progress = true;
-    } else if (arg.rfind("--budget-seconds=", 0) == 0) {
-      context.budget_seconds =
-          std::strtod(arg.c_str() + std::strlen("--budget-seconds="), nullptr);
-    } else if (arg.rfind("--shard=", 0) == 0) {
-      if (!ParseShard(arg.substr(std::strlen("--shard=")), context.shard)) {
-        std::fprintf(stderr, "invalid --shard '%s' (expected I/N with 0 <= I < N)\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--points=", 0) == 0) {
-      if (!ParsePoints(arg.substr(std::strlen("--points=")), context.shard.points)) {
-        std::fprintf(stderr, "invalid --points '%s' (expected ID,ID,...)\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--rep-range=", 0) == 0) {
-      if (!ParseRepRange(arg.substr(std::strlen("--rep-range=")), context.shard)) {
-        std::fprintf(stderr, "invalid --rep-range '%s' (expected A:B with 0 <= A < B,"
-                     " or A: for 'to the end')\n", arg.c_str());
-        return 2;
-      }
-    } else {
+      continue;
+    }
+    const RunOption parsed = ParseRunOption(arg, options);
+    if (parsed == RunOption::kInvalid) return 2;
+    if (parsed == RunOption::kUnknown) {
       std::fprintf(stderr, "unknown run option '%s'\n", arg.c_str());
       return 2;
     }
@@ -600,14 +682,9 @@ int RunGrid(int argc, char** argv) {
     std::fprintf(stderr, "run: %s: %s\n", grid_path.c_str(), error.c_str());
     return 2;
   }
-  if (!context.shard.all() && std::getenv("QUICER_DATA_DIR") == nullptr) {
-    std::fprintf(stderr,
-                 "--shard/--points/--rep-range produce partial-result files: pass "
-                 "--data-dir=DIR (or set QUICER_DATA_DIR)\n");
-    return 2;
-  }
+  if (!RequireDataDirForSubset(options.context)) return 2;
   // --points ids must exist in some scenario's grid.
-  for (std::size_t id : context.shard.points) {
+  for (std::size_t id : options.context.shard.points) {
     bool known = false;
     for (const GridScenario& entry : plan->entries) known = known || id < entry.point_count;
     if (!known) {
@@ -621,41 +698,15 @@ int RunGrid(int argc, char** argv) {
     }
   }
 
-  struct Timing {
-    std::string sweep;
-    double seconds;
-    int exit_code;
-  };
-  std::vector<Timing> timings;
-  context.suite_start = std::chrono::steady_clock::now();
-  if (!telemetry_path.empty()) quicer::obs::EnableProcess();
-  int failures = 0;
+  std::vector<RunJob> jobs;
+  jobs.reserve(plan->entries.size());
   for (const GridScenario& entry : plan->entries) {
-    BenchContext scenario_context = context;
-    scenario_context.sweep_filter = entry.scenario.sweep;
-    scenario_context.rewrite =
-        GridRewrite(std::make_shared<quicer::core::Scenario>(entry.scenario));
-    quicer::obs::SetCurrentBench(entry.scenario.bench);
-    const auto start = std::chrono::steady_clock::now();
-    const int code = quicer::bench::RunByName(entry.scenario.bench, scenario_context);
-    timings.push_back({entry.scenario.sweep, SecondsSince(start), code});
-    if (code != 0) ++failures;
+    jobs.push_back({entry.scenario.sweep, entry.scenario.bench,
+                    [&entry](const BenchContext& context) {
+                      return RunResolvedSweep(entry.applied, context);
+                    }});
   }
-  quicer::obs::SetCurrentBench("");
-  if (!telemetry_path.empty() &&
-      !WriteTelemetryReport(quicer::obs::TakeSweepRecords(), telemetry_path)) {
-    return 1;
-  }
-
-  std::printf("\n%-24s %10s  %s\n", "sweep", "wall [s]", "status");
-  for (const Timing& timing : timings) {
-    std::printf("%-24s %10.2f  %s\n", timing.sweep.c_str(), timing.seconds,
-                timing.exit_code == 0 ? "ok" : "FAILED");
-  }
-  std::printf("%-24s %10.2f  (%zu scenarios from '%s', pool of %u threads)\n", "total",
-              SecondsSince(context.suite_start), timings.size(), grid_path.c_str(),
-              quicer::core::ThreadPool::Global().size());
-  return failures == 0 ? 0 : 1;
+  return RunJobs(jobs, options, "sweep", "scenarios from '" + grid_path + "'");
 }
 
 int RunSchema() {
@@ -889,10 +940,10 @@ int RunWorkerCommand(int argc, char** argv) {
       options.worker_id.empty() ? quicer::dist::DefaultWorkerId() : options.worker_id);
   options.worker_id = worker_id;
 
-  // A grid-planned queue carries its scenario file: every unit's spec is
-  // rewritten from it, so this worker executes the same data-defined grid
-  // the plan hashed — validated up front, before any unit is claimed.
-  std::shared_ptr<GridPlan> grid;
+  // A grid-planned queue carries its scenario file: every unit runs its
+  // scenario applied onto the captured live spec, the spec the plan hashed
+  // — validated up front, before any unit is claimed.
+  std::optional<GridPlan> grid;
   if (!queue->manifest().grid_file.empty()) {
     const std::string grid_path =
         (std::filesystem::path(queue_dir) / queue->manifest().grid_file).string();
@@ -901,46 +952,59 @@ int RunWorkerCommand(int argc, char** argv) {
       std::fprintf(stderr, "worker: cannot read the queue's grid '%s'\n", grid_path.c_str());
       return 1;
     }
-    std::optional<GridPlan> plan = LoadGrid(*text, error);
-    if (!plan) {
+    grid = LoadGrid(*text, error);
+    if (!grid) {
       std::fprintf(stderr, "worker: %s: %s\n", grid_path.c_str(), error.c_str());
       return 1;
     }
-    grid = std::make_shared<GridPlan>(std::move(*plan));
   }
 
-  // Executes one unit through the registry: the unit's points / repetition
-  // window select the grid subset, sweep_filter deselects sibling sweeps of
-  // the same bench, and the partial files land in the claim's private stage
+  // Without a grid, a unit runs its bench's captured spec at the manifest's
+  // scale (the spec queue-init hashed); each bench is captured once.
+  std::map<std::string, std::vector<CapturedSpec>> captured;
+  auto resolve = [&](const quicer::dist::WorkUnit& unit) -> const quicer::core::SweepSpec* {
+    if (grid) {
+      for (const GridScenario& entry : grid->entries) {
+        if (entry.scenario.bench == unit.bench && entry.scenario.sweep == unit.sweep) {
+          return &entry.applied;
+        }
+      }
+      return nullptr;
+    }
+    auto specs = captured.find(unit.bench);
+    if (specs == captured.end()) {
+      const BenchInfo* bench = Registry::Instance().Find(unit.bench);
+      if (bench == nullptr) return nullptr;
+      specs = captured.emplace(unit.bench, CaptureSpecs({*bench}, queue->manifest().scale))
+                  .first;
+    }
+    for (const CapturedSpec& spec : specs->second) {
+      if (spec.spec.name == unit.sweep) return &spec.spec;
+    }
+    return nullptr;
+  };
+
+  // Executes one unit: its points / repetition window select the grid
+  // subset and the partial file lands in the claim's private stage
   // directory (published atomically by the worker loop). The per-point
   // observer refreshes the lease heartbeat at most once a second, so a long
   // unit never looks stale while it makes progress.
   quicer::dist::UnitRunner runner = [&](const quicer::dist::WorkUnit& unit,
                                         const std::string& stage_dir) {
+    const quicer::core::SweepSpec* spec = resolve(unit);
+    if (spec == nullptr) {
+      std::fprintf(stderr, "[%s] unit %s targets sweep '%s' of bench '%s', which %s"
+                   " does not define\n", worker_id.c_str(), unit.id.c_str(),
+                   unit.sweep.c_str(), unit.bench.c_str(),
+                   grid ? "the queue's grid" : "this build");
+      return 1;
+    }
     setenv("QUICER_DATA_DIR", stage_dir.c_str(), 1);
     BenchContext context;
-    context.scale = queue->manifest().scale;
     context.progress = progress;
     context.shard.points = unit.points;
     context.shard.rep_begin = unit.rep_begin;
     context.shard.rep_end = unit.rep_end;
-    context.sweep_filter = unit.sweep;
-    if (grid) {
-      const GridScenario* entry = nullptr;
-      for (const GridScenario& candidate : grid->entries) {
-        if (candidate.scenario.bench == unit.bench && candidate.scenario.sweep == unit.sweep) {
-          entry = &candidate;
-        }
-      }
-      if (entry == nullptr) {
-        std::fprintf(stderr, "[%s] unit %s targets sweep '%s' of bench '%s', which the"
-                     " queue's grid does not define\n", worker_id.c_str(), unit.id.c_str(),
-                     unit.sweep.c_str(), unit.bench.c_str());
-        return 1;
-      }
-      context.rewrite =
-          GridRewrite(std::make_shared<quicer::core::Scenario>(entry->scenario));
-    }
     auto last_beat = std::make_shared<std::chrono::steady_clock::time_point>(
         std::chrono::steady_clock::now());
     context.observer = [&queue, worker_id, last_beat](const quicer::core::SweepProgress&) {
@@ -949,7 +1013,7 @@ int RunWorkerCommand(int argc, char** argv) {
       *last_beat = now;
       queue->Heartbeat(worker_id);
     };
-    return quicer::bench::RunByName(unit.bench, context);
+    return RunResolvedSweep(*spec, context);
   };
 
   const quicer::dist::WorkerStats stats = RunWorker(*queue, options, runner, stderr);
@@ -1097,70 +1161,24 @@ int main(int argc, char** argv) {
 
   bool list = false;
   std::string filter;
-  std::string telemetry_path;
-  BenchContext context;
+  RunOptions options;
+  BenchContext& context = options.context;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--list") {
       list = true;
     } else if (arg.rfind("--filter=", 0) == 0) {
       filter = arg.substr(std::strlen("--filter="));
-    } else if (arg.rfind("--telemetry=", 0) == 0) {
-      telemetry_path = arg.substr(std::strlen("--telemetry="));
-    } else if (arg.rfind("--qlog-dir=", 0) == 0) {
-      context.qlog_dir = arg.substr(std::strlen("--qlog-dir="));
-      if (!PrepareQlogDir(context.qlog_dir)) return 2;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      // Must be set before the first ThreadPool::Global() use.
-      setenv("QUICER_THREADS", arg.c_str() + std::strlen("--threads="), 1);
-    } else if (arg.rfind("--data-dir=", 0) == 0) {
-      const char* dir = arg.c_str() + std::strlen("--data-dir=");
-      // CsvWriter silently deactivates when the directory is missing.
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      if (ec) {
-        std::fprintf(stderr, "cannot create data dir '%s': %s\n", dir, ec.message().c_str());
-        return 2;
-      }
-      setenv("QUICER_DATA_DIR", dir, 1);
     } else if (arg.rfind("--scale=", 0) == 0) {
       const long parsed = std::strtol(arg.c_str() + std::strlen("--scale="), nullptr, 10);
       context.scale = parsed >= 1 ? static_cast<int>(parsed) : 1;
-    } else if (arg == "--progress") {
-      context.progress = true;
-    } else if (arg.rfind("--budget-seconds=", 0) == 0) {
-      context.budget_seconds =
-          std::strtod(arg.c_str() + std::strlen("--budget-seconds="), nullptr);
-    } else if (arg.rfind("--shard=", 0) == 0) {
-      if (!ParseShard(arg.substr(std::strlen("--shard=")), context.shard)) {
-        std::fprintf(stderr, "invalid --shard '%s' (expected I/N with 0 <= I < N)\n",
-                     arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--points=", 0) == 0) {
-      if (!ParsePoints(arg.substr(std::strlen("--points=")), context.shard.points)) {
-        std::fprintf(stderr, "invalid --points '%s' (expected ID,ID,...)\n", arg.c_str());
-        return 2;
-      }
-    } else if (arg.rfind("--rep-range=", 0) == 0) {
-      if (!ParseRepRange(arg.substr(std::strlen("--rep-range=")), context.shard)) {
-        std::fprintf(stderr, "invalid --rep-range '%s' (expected A:B with 0 <= A < B,"
-                     " or A: for 'to the end')\n", arg.c_str());
-        return 2;
-      }
     } else {
-      return Usage(argv[0]);
+      const RunOption parsed = ParseRunOption(arg, options);
+      if (parsed == RunOption::kInvalid) return 2;
+      if (parsed == RunOption::kUnknown) return Usage(argv[0]);
     }
   }
-
-  // A sharded run's only useful product is its partial-result files; without
-  // a data dir the whole run would be silently discarded.
-  if (!context.shard.all() && std::getenv("QUICER_DATA_DIR") == nullptr) {
-    std::fprintf(stderr,
-                 "--shard/--points/--rep-range produce partial-result files: pass "
-                 "--data-dir=DIR (or set QUICER_DATA_DIR)\n");
-    return 2;
-  }
+  if (!RequireDataDirForSubset(context)) return 2;
 
   const std::vector<BenchInfo> selected = Registry::Instance().Match(filter);
   if (list) {
@@ -1178,35 +1196,8 @@ int main(int argc, char** argv) {
     if (invalid != 0) return invalid;
   }
 
-  struct Timing {
-    std::string name;
-    double seconds;
-    int exit_code;
-  };
-  std::vector<Timing> timings;
-  context.suite_start = std::chrono::steady_clock::now();
-  if (!telemetry_path.empty()) quicer::obs::EnableProcess();
-  int failures = 0;
-  for (const BenchInfo& bench : selected) {
-    quicer::obs::SetCurrentBench(bench.name);
-    const auto start = std::chrono::steady_clock::now();
-    const int code = bench.run(context);
-    timings.push_back({bench.name, SecondsSince(start), code});
-    if (code != 0) ++failures;
-  }
-  quicer::obs::SetCurrentBench("");
-  if (!telemetry_path.empty() &&
-      !WriteTelemetryReport(quicer::obs::TakeSweepRecords(), telemetry_path)) {
-    return 1;
-  }
-
-  std::printf("\n%-24s %10s  %s\n", "bench", "wall [s]", "status");
-  for (const Timing& timing : timings) {
-    std::printf("%-24s %10.2f  %s\n", timing.name.c_str(), timing.seconds,
-                timing.exit_code == 0 ? "ok" : "FAILED");
-  }
-  std::printf("%-24s %10.2f  (%zu benches, pool of %u threads)\n", "total",
-              SecondsSince(context.suite_start), timings.size(),
-              quicer::core::ThreadPool::Global().size());
-  return failures == 0 ? 0 : 1;
+  std::vector<RunJob> jobs;
+  jobs.reserve(selected.size());
+  for (const BenchInfo& bench : selected) jobs.push_back({bench.name, bench.name, bench.run});
+  return RunJobs(jobs, options, "bench", "benches");
 }

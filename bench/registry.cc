@@ -2,7 +2,6 @@
 #include "registry.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 namespace quicer::bench {
@@ -47,15 +46,6 @@ const BenchInfo* Registry::Find(const std::string& name) const {
 Registrar::Registrar(std::string name, std::string description,
                      std::function<int(const BenchContext&)> run) {
   Registry::Instance().Add(BenchInfo{std::move(name), std::move(description), std::move(run)});
-}
-
-int RunByName(const std::string& name, const BenchContext& context) {
-  const BenchInfo* bench = Registry::Instance().Find(name);
-  if (bench == nullptr) {
-    std::fprintf(stderr, "unknown bench: %s\n", name.c_str());
-    return 2;
-  }
-  return bench->run(context);
 }
 
 }  // namespace quicer::bench

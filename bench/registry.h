@@ -5,21 +5,20 @@
 // Suite-wide options (--scale, --progress, --shard, --budget-seconds) reach
 // the benches as an explicit BenchContext argument threaded through the
 // registry — not environment variables — so a bench body reads everything it
-// needs from its `ctx` parameter and standalone binaries run with the
-// defaults.
+// needs from its `ctx` parameter.
 //
 // lint:allow-file(ND002): the suite budget clock is wall time by design.
 //
-// A migrated bench file contains:
+// A bench file contains one or more registrations:
 //
 //   QUICER_BENCH("fig05", "Figure 5: TTFB under amplification limits") {
 //     ...            // bench body; `ctx` is the BenchContext; returns an
 //   }                // int exit code
-//   QUICER_BENCH_MAIN("fig05")
 //
-// Compiled standalone, QUICER_BENCH_MAIN stamps a main() so the file still
-// builds as its own binary; compiled with -DQUICER_BENCH_SUITE the macro is
-// empty and the registration is aggregated into bench_suite.
+// Every registered bench is linked into bench_suite, which runs the bodies
+// on the compiled-in grids (`bench_suite --filter=fig05`). Data-defined runs
+// (`run --grid`, queue workers) do not enter the bodies: they execute the
+// sweep specs a body declares, captured by CaptureSpecs (bench_common.h).
 #pragma once
 
 #include <chrono>
@@ -43,26 +42,18 @@ struct BenchContext {
   /// (--budget-seconds). Each sweep receives the budget *remaining* at its
   /// start, so the whole suite lands under one ceiling.
   double budget_seconds = 0.0;
-  /// When the suite (or standalone binary) started, for the budget.
+  /// When the suite started, for the budget.
   std::chrono::steady_clock::time_point suite_start = std::chrono::steady_clock::now();
   /// Grid subset this process executes (--shard=i/N, --points=ids and/or
   /// --rep-range=a:b).
   core::SweepShard shard;
-  /// When non-empty, only the sweep with this spec name executes; sibling
-  /// sweeps of the same bench enumerate but select nothing. The work-queue
-  /// worker targets one (bench, sweep) pair per unit.
-  std::string sweep_filter;
   /// When set, every sweep enumerates its grid into this sink instead of
-  /// executing (the work-queue init phase and --points validation).
+  /// executing (spec capture: export-grid, --grid, queue-init, --points
+  /// validation).
   core::SweepEnumerateSink enumerate;
   /// Extra per-point observer, chained before the --progress printer. The
   /// work-queue worker refreshes its lease heartbeat here.
   core::SweepObserver observer;
-  /// When set, applied to every tuned spec right before execution (after
-  /// --scale and the other context options). The --grid workflow overwrites
-  /// the compiled-in grid data with a scenario file's here — the hook
-  /// itself decides which sweep names it touches.
-  std::function<void(core::SweepSpec&)> rewrite;
   /// When non-empty, every run of every executed sweep writes its qlog
   /// trace pair under this directory (--qlog-dir; forwarded into
   /// SweepSpec::qlog_dir by the context tuner).
@@ -105,10 +96,6 @@ struct Registrar {
             std::function<int(const BenchContext&)> run);
 };
 
-/// Runs one registered bench by exact name; returns its exit code (2 if the
-/// name is unknown).
-int RunByName(const std::string& name, const BenchContext& context = BenchContext{});
-
 #define QUICER_BENCH_CONCAT_(a, b) a##b
 #define QUICER_BENCH_CONCAT(a, b) QUICER_BENCH_CONCAT_(a, b)
 
@@ -125,21 +112,5 @@ int RunByName(const std::string& name, const BenchContext& context = BenchContex
                                                               __LINE__)};               \
   static int QUICER_BENCH_CONCAT(QuicerBenchBody, __LINE__)(                            \
       [[maybe_unused]] const ::quicer::bench::BenchContext& ctx)
-
-#ifdef QUICER_BENCH_SUITE
-#define QUICER_BENCH_MAIN(name_str)
-#define QUICER_BENCH_MAIN2(first_str, second_str)
-#else
-#define QUICER_BENCH_MAIN(name_str) \
-  int main() { return ::quicer::bench::RunByName(name_str); }
-/// Standalone main for a file registering two benches: runs both in order
-/// (the legacy binary printed both sections).
-#define QUICER_BENCH_MAIN2(first_str, second_str)                  \
-  int main() {                                                     \
-    const int first = ::quicer::bench::RunByName(first_str);       \
-    const int second = ::quicer::bench::RunByName(second_str);     \
-    return first != 0 ? first : second;                            \
-  }
-#endif
 
 }  // namespace quicer::bench

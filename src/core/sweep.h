@@ -304,25 +304,12 @@ struct SweepSpec {
   /// series and executed == false.
   SweepShard shard;
 
-  /// When non-empty and different from `name`, RunSweep executes nothing:
-  /// the grid is enumerated (metadata intact) but no point is selected. The
-  /// work-queue worker targets one sweep of a bench per unit; sibling
-  /// sweeps of the same bench body — including specs *copied* from a tuned
-  /// one, which inherit this field — must not execute.
-  std::string only_sweep;
-
   /// When set, RunSweep enumerates the grid, hands (spec, result) to the
   /// sink and returns without executing anything (the returned result has
   /// enumerate_only set). The work-queue init phase uses this to learn
   /// every bench's grids — point counts, repetitions, sweep names —
   /// without running a single experiment.
   SweepEnumerateSink enumerate_sink;
-
-  /// When true, the bench should export machine-readable data and skip its
-  /// human-readable analysis even for a full (unsharded) run. The --grid
-  /// workflow sets this: a data-defined grid may drop the very points a
-  /// bench's printed tables index.
-  bool export_only = false;
 
   /// When non-empty, the default runner captures a full qlog trace per
   /// repetition (structured events included) and writes
@@ -420,14 +407,6 @@ struct SweepResult {
   /// populated but nothing ran (and nothing should be exported).
   bool enumerate_only = false;
 
-  /// True when only_sweep deselected this whole sweep (a sibling of the
-  /// targeted sweep): nothing ran and nothing — not even an empty partial —
-  /// should be written.
-  bool deselected = false;
-
-  /// Mirrors SweepSpec::export_only (the --grid workflow).
-  bool export_only = false;
-
   /// Content-hash of the spec's serializable data (core::ScenarioHash),
   /// stamped by RunSweep, carried through partial files and work units, and
   /// required to agree by the merge/collect phases — partials of two
@@ -492,32 +471,11 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism = 0);
 std::optional<SweepResult> MergeSweepResults(const std::vector<SweepResult>& partials,
                                              std::string* error = nullptr);
 
-/// Adapts a whole-grid computation into a runner: `compute` runs exactly
-/// once (triggered by the first repetition to arrive, other workers block),
-/// then every (point, repetition) extracts its values from the shared
-/// outcome. The adapter for legacy single-pass studies whose RNG threads
-/// through one sequential computation (the certificate-caching study).
-template <typename Outcome>
-SweepRunner SharedOutcomeRunner(
-    std::function<Outcome()> compute,
-    std::function<std::vector<double>(const Outcome&, const SweepRunContext&)> extract) {
-  struct State {
-    std::once_flag once;
-    Outcome outcome;
-  };
-  auto state = std::make_shared<State>();
-  return [state, compute = std::move(compute),
-          extract = std::move(extract)](const SweepRunContext& ctx) {
-    std::call_once(state->once, [&] { state->outcome = compute(); });
-    return extract(state->outcome, ctx);
-  };
-}
-
-/// Generalises SharedOutcomeRunner to sweeps whose shared computation
-/// depends on the point: `compute` runs once per distinct key (memoized,
-/// concurrency-safe via a per-key once_flag), and every (point, repetition)
-/// extracts its values from its key's outcome. `compute` receives the
-/// context of whichever repetition triggers it; determinism requires the
+/// Adapts a shared computation into a runner for sweeps whose points share
+/// work: `compute` runs once per distinct key (memoized, concurrency-safe
+/// via a per-key once_flag), and every (point, repetition) extracts its
+/// values from its key's outcome. `compute` receives the context of
+/// whichever repetition triggers it; determinism requires the
 /// outcome to depend only on the key (with its own RNG seeds) — never on
 /// the triggering repetition — so the set of keys actually computed, which
 /// depends on the shard, cannot change any outcome. The caching study keys

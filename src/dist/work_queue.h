@@ -52,8 +52,8 @@ class WorkQueue {
     std::vector<SweepInventory> sweeps;
     /// Name of the scenario file (relative to the queue root) this queue
     /// was planned from; empty for compiled-in grids. Workers parse it and
-    /// rewrite every unit's spec with the scenario data, so every host runs
-    /// the same data-defined grid.
+    /// run every unit's scenario applied onto its captured spec, so every
+    /// host runs the same data-defined grid.
     std::string grid_file;
   };
 

@@ -300,8 +300,6 @@ TEST(ScenarioHashing, DataChangesChangeTheHash) {
   SweepSpec sharded = TestSpec();
   sharded.shard.index = 1;
   sharded.shard.count = 4;
-  sharded.only_sweep = "synthetic";
-  sharded.export_only = true;
   EXPECT_EQ(ScenarioHash(sharded), base);
 }
 

@@ -148,7 +148,6 @@ TEST(SweepTelemetry, CollectFoldsWorkerTelemetryIntoOneReport) {
     spec.shard.points = unit.points;
     spec.shard.rep_begin = unit.rep_begin;
     spec.shard.rep_end = unit.rep_end;
-    spec.only_sweep = unit.sweep;
     return core::WriteSweepData(core::RunSweep(spec), stage_dir) ? 0 : 1;
   };
   WorkerOptions options;

@@ -78,20 +78,16 @@ std::vector<SweepInventory> Inventories() {
   return {{"synthetic", "alpha", 5, 12}, {"synthetic", "beta", 3, 4}};
 }
 
-/// Mimics the bench_suite worker's UnitRunner: the bench body runs both
-/// sweeps, the unit's shard/sweep-filter select what actually executes, and
-/// partial files land in the stage directory.
+/// Mimics the bench_suite worker's UnitRunner: the unit's sweep resolves to
+/// its spec, the unit's shard selects what executes, and the partial file
+/// lands in the stage directory.
 UnitRunner SyntheticRunner() {
   return [](const WorkUnit& unit, const std::string& stage_dir) {
-    for (core::SweepSpec spec : {AlphaSpec(), BetaSpec()}) {
-      spec.shard.points = unit.points;
-      spec.shard.rep_begin = unit.rep_begin;
-      spec.shard.rep_end = unit.rep_end;
-      spec.only_sweep = unit.sweep;
-      const core::SweepResult result = core::RunSweep(spec);
-      if (!core::WriteSweepData(result, stage_dir)) return 1;
-    }
-    return 0;
+    core::SweepSpec spec = unit.sweep == "alpha" ? AlphaSpec() : BetaSpec();
+    spec.shard.points = unit.points;
+    spec.shard.rep_begin = unit.rep_begin;
+    spec.shard.rep_end = unit.rep_end;
+    return core::WriteSweepData(core::RunSweep(spec), stage_dir) ? 0 : 1;
   };
 }
 
@@ -592,7 +588,6 @@ TEST(Collect, RejectsASpecHashMismatch) {
   UnitRunner runner = [](const WorkUnit& unit, const std::string& stage_dir) {
     core::SweepSpec spec = BetaSpec();
     spec.shard.points = unit.points;
-    spec.only_sweep = unit.sweep;
     return core::WriteSweepData(core::RunSweep(spec), stage_dir) ? 0 : 1;
   };
   const WorkerStats stats = RunWorker(*queue, options, runner);
