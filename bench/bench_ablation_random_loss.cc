@@ -13,22 +13,19 @@ namespace {
 
 using namespace quicer;
 
+/// Scenario-stage Bernoulli loss at `rate` in `direction`, or in both.
 core::SweepLoss RandomLoss(const char* label, double rate, sim::Direction direction,
                            bool both) {
   core::SweepLoss loss;
   char name[64];
   std::snprintf(name, sizeof(name), "%s %.0f%%", label, rate * 100);
   loss.label = name;
-  loss.make = [rate, direction, both](const core::ExperimentConfig&) {
-    sim::LossPattern pattern;
-    if (both) {
-      pattern.DropRandom(sim::Direction::kClientToServer, rate);
-      pattern.DropRandom(sim::Direction::kServerToClient, rate);
-    } else {
-      pattern.DropRandom(direction, rate);
+  for (int dir : {netem::kUp, netem::kDown}) {
+    if (both || dir == static_cast<int>(direction)) {
+      loss.loss[dir].kind = netem::LossModel::Kind::kBernoulli;
+      loss.loss[dir].rate = rate;
     }
-    return pattern;
-  };
+  }
   return loss;
 }
 

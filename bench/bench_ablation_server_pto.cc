@@ -30,12 +30,9 @@ QUICER_BENCH("ablation_server_pto", "Ablation: server default PTO trade-off") {
     spec.axes.variants.push_back(
         {label, [pto_ms](core::ExperimentConfig& c) { c.server_default_pto = sim::Millis(pto_ms); }});
   }
-  spec.axes.losses = {{"first-server-flight-tail",
-                       [](const core::ExperimentConfig& c) {
-                         return core::FirstServerFlightTailLoss(quic::ServerBehavior::kInstantAck,
-                                                                c.certificate_bytes, c.http);
-                       }},
-                      {"none", nullptr}};
+  spec.axes.losses = {
+      {"first-server-flight-tail", core::LossCase::kFirstServerFlightTail, {}},
+      {"none", core::LossCase::kNoLoss, {}}};
   spec.repetitions = bench::kRepetitions;
   bench::Tune(spec, ctx);
   const core::SweepResult ttfb = core::RunSweep(spec);

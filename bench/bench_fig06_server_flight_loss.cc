@@ -26,10 +26,8 @@ QUICER_BENCH("fig06", "Figure 6: TTFB under first-server-flight tail loss") {
   spec.axes.clients.assign(clients::kAllClients.begin(), clients::kAllClients.end());
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
-  spec.axes.losses = {{"first-server-flight-tail", [](const core::ExperimentConfig& c) {
-                         return core::FirstServerFlightTailLoss(c.behavior,
-                                                                c.certificate_bytes, c.http);
-                       }}};
+  spec.axes.losses = {
+      {"first-server-flight-tail", core::LossCase::kFirstServerFlightTail, {}}};
   spec.repetitions = bench::kRepetitions;
   spec.metrics = {{"response_ttfb_ms", core::MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const core::ExperimentResult& r) { return r.ResponseTtfbMs(); }}};

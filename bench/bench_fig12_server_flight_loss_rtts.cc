@@ -28,10 +28,8 @@ QUICER_BENCH("fig12", "Figure 12: first-server-flight loss across RTTs") {
   spec.axes.clients.assign(clients::kAllClients.begin(), clients::kAllClients.end());
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
-  spec.axes.losses = {{"first-server-flight-tail", [](const core::ExperimentConfig& c) {
-                         return core::FirstServerFlightTailLoss(c.behavior,
-                                                                c.certificate_bytes, c.http);
-                       }}};
+  spec.axes.losses = {
+      {"first-server-flight-tail", core::LossCase::kFirstServerFlightTail, {}}};
   spec.repetitions = 10;
   spec.metrics = {{"response_ttfb_ms", core::MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const core::ExperimentResult& r) { return r.ResponseTtfbMs(); }}};

@@ -29,9 +29,7 @@ QUICER_BENCH("fig13", "Figure 13: second-client-flight loss across RTTs") {
   spec.axes.clients.assign(clients::kAllClients.begin(), clients::kAllClients.end());
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
-  spec.axes.losses = {{"second-client-flight", [](const core::ExperimentConfig& c) {
-                         return core::SecondClientFlightLoss(c.client);
-                       }}};
+  spec.axes.losses = {{"second-client-flight", core::LossCase::kSecondClientFlight, {}}};
   spec.repetitions = 10;
   spec.metrics = {{"response_ttfb_ms", core::MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const core::ExperimentResult& r) { return r.ResponseTtfbMs(); }}};

@@ -107,14 +107,8 @@ QUICER_BENCH("table2", "Table 2: deployment guidelines (advisor vs simulator)") 
   core::SweepSpec loss_spec = BaseSpec(ctx);
   loss_spec.name = "table2_loss";
   loss_spec.axes.losses = {
-      {"first-server-flight-tail",
-       [](const core::ExperimentConfig& c) {
-         return core::FirstServerFlightTailLoss(c.behavior, c.certificate_bytes, c.http);
-       }},
-      {"second-client-flight",
-       [](const core::ExperimentConfig&) {
-         return core::SecondClientFlightLoss(clients::ClientImpl::kNgtcp2);
-       }}};
+      {"first-server-flight-tail", core::LossCase::kFirstServerFlightTail, {}},
+      {"second-client-flight", core::LossCase::kSecondClientFlight, {}}};
   core::SweepSpec loss_probes = loss_spec;
   loss_probes.name = "table2_loss_probes";
   loss_probes.metrics = {ProbesMetricSpec()};

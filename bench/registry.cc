@@ -2,6 +2,7 @@
 #include "registry.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace quicer::bench {
@@ -11,8 +12,9 @@ double BenchContext::RemainingBudgetSeconds() const {
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - suite_start).count();
   // Never return the "unlimited" 0: an exhausted budget must skip the
-  // remaining sweeps' points, not unleash them.
-  return std::max(1e-3, budget_seconds - elapsed);
+  // remaining sweeps' points, not unleash them. The smallest positive
+  // double keeps the sweep budgeted yet exhausted at its first check.
+  return std::max(std::numeric_limits<double>::min(), budget_seconds - elapsed);
 }
 
 Registry& Registry::Instance() {

@@ -1,13 +1,15 @@
 // Lossy handshakes: reproduce the paper's two deterministic loss scenarios
-// for any client implementation and print the recovery story.
+// for any client implementation and print the recovery story. Each scenario
+// resolves to plain netem data — the per-direction datagram indices the
+// path drops — which is printed next to the outcome.
 //
 //   ./lossy_handshakes [client]   (default quic-go; try picoquic or quiche)
 #include <cstdio>
-#include <cstring>
+#include <string>
 
+#include "core/advisor.h"
 #include "core/experiment.h"
 #include "core/loss_scenarios.h"
-#include "stats/stats.h"
 
 using namespace quicer;
 
@@ -21,24 +23,30 @@ clients::ClientImpl ParseClient(const char* name) {
   return clients::ClientImpl::kQuicGo;
 }
 
-void Report(const char* scenario, core::ExperimentConfig config) {
-  std::printf("\n--- %s ---\n", scenario);
+void Report(core::LossCase flight, core::ExperimentConfig config) {
+  std::printf("\n--- %s ---\n", std::string(ToString(flight)).c_str());
   for (quic::ServerBehavior behavior :
        {quic::ServerBehavior::kWaitForCertificate, quic::ServerBehavior::kInstantAck}) {
     config.behavior = behavior;
-    if (std::strcmp(scenario, "first server flight tail lost") == 0) {
-      config.loss = core::FirstServerFlightTailLoss(behavior, config.certificate_bytes,
-                                                    config.http);
-    }
+    // The flight's datagram indices depend on the behavior (the instant ACK
+    // shifts the server flight by one datagram) and on the client.
+    config.loss = core::FlightLoss(flight, config);
     const core::ExperimentResult result = core::RunExperiment(config);
+    std::printf("%5s: drops", ToString(behavior));
+    for (int dir : {netem::kUp, netem::kDown}) {
+      for (std::uint64_t index : config.loss[dir].drop_indices) {
+        std::printf(" %s#%llu", dir == netem::kUp ? "up" : "down",
+                    static_cast<unsigned long long>(index));
+      }
+    }
+    std::printf("\n");
     if (result.client.aborted) {
-      std::printf("%5s: connection aborted (%s)\n", ToString(behavior),
-                  result.client.abort_reason.c_str());
+      std::printf("       connection aborted (%s)\n", result.client.abort_reason.c_str());
       continue;
     }
-    std::printf("%5s: TTFB %7.1f ms | client PTO expiries %d, probes %d | "
+    std::printf("       TTFB %7.1f ms | client PTO expiries %d, probes %d | "
                 "server PTO expiries %d | spurious retx %d\n",
-                ToString(behavior), result.TtfbMs(), result.client.pto_expirations,
+                result.TtfbMs(), result.client.pto_expirations,
                 result.client.probe_datagrams_sent, result.server.pto_expirations,
                 result.client.spurious_retransmits + result.server.spurious_retransmits);
   }
@@ -58,11 +66,8 @@ int main(int argc, char** argv) {
   base.response_body_bytes = http::kSmallFileBytes;
   base.signing = tls::SigningModel{sim::Millis(2.8), 0.0};
 
-  Report("first server flight tail lost", base);
-
-  core::ExperimentConfig client_loss = base;
-  client_loss.loss = core::SecondClientFlightLoss(impl);
-  Report("entire second client flight lost", client_loss);
+  Report(core::LossCase::kFirstServerFlightTail, base);
+  Report(core::LossCase::kSecondClientFlight, base);
 
   std::printf("\nWhen the server flight is lost, the instant ACK backfires: it is not\n"
               "ack-eliciting, so the server holds no RTT sample and resends only after its\n"

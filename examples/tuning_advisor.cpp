@@ -31,8 +31,7 @@ int main(int argc, char** argv) {
               3.0 * sim::ToMillis(scenario.frontend_cert_delay));
 
   std::printf("%-36s  %s\n", "condition", "recommendation");
-  for (core::LossCase loss : {core::LossCase::kNoLoss, core::LossCase::kFirstServerFlightTail,
-                              core::LossCase::kSecondClientFlight}) {
+  for (core::LossCase loss : core::kLossCases) {
     scenario.loss = loss;
     std::printf("%-36s  %s\n", std::string(ToString(loss)).c_str(),
                 std::string(ToString(core::Advise(scenario))).c_str());

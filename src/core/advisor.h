@@ -8,16 +8,11 @@
 
 #include <string_view>
 
+#include "core/loss_scenarios.h"
 #include "quic/types.h"
 #include "sim/time.h"
 
 namespace quicer::core {
-
-enum class LossCase {
-  kNoLoss,
-  kFirstServerFlightTail,  // first server flight except first datagram lost
-  kSecondClientFlight,     // entire second client flight lost
-};
 
 std::string_view ToString(LossCase c);
 

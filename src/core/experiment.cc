@@ -82,22 +82,21 @@ ExperimentResult RunContext::Run(const ExperimentConfig& config, const InspectFn
   sim::EventQueue& queue = queue_;
   sim::Rng rng(config.seed);
 
-  sim::Link::Config link_config;
-  link_config.one_way_delay = config.rtt / 2;
-  link_config.bandwidth_bps = config.bandwidth_bps;
-  link_config.jitter = config.path_jitter;
-  link_config.model = config.link;
+  link_config_.one_way_delay = config.rtt / 2;
+  link_config_.bandwidth_bps = config.bandwidth_bps;
+  link_config_.jitter = config.path_jitter;
+  link_config_.loss = config.loss;
+  link_config_.model = config.link;
   // Reset-in-place on warm contexts: the endpoints and link rewind to
   // freshly-constructed state (re-deriving everything from config + seed)
   // while keeping every container's capacity, so repeated runs construct and
   // destroy nothing.
   if (link_.has_value()) {
-    link_->ResetForRun(link_config, rng.Fork(1));
+    link_->ResetForRun(link_config_, rng.Fork(1));
   } else {
-    link_.emplace(queue, link_config, rng.Fork(1));
+    link_.emplace(queue, link_config_, rng.Fork(1));
   }
   sim::Link& link = *link_;
-  link.set_loss_pattern(config.loss);
 
   quic::ClientConfig client_config{BuildClientConfig(config)};
   client_config.enable_0rtt = config.mode == HandshakeMode::k0Rtt;

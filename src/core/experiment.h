@@ -19,7 +19,6 @@
 #include "quic/server_connection.h"
 #include "sim/arena.h"
 #include "sim/link.h"
-#include "sim/loss.h"
 #include "tls/cert_store.h"
 #include "tls/messages.h"
 
@@ -65,7 +64,10 @@ struct ExperimentConfig {
   tls::SigningModel signing{sim::Millis(2.8), 0.2};
 
   std::size_t response_body_bytes = http::kSmallFileBytes;
-  sim::LossPattern loss;  // lint:allow(CC001): set from the losses axis; scenarios carry the loss label
+  /// Scenario datagram loss per direction (netem::kUp/kDown): the paper's
+  /// deterministic drops (§3) as drop indices, optionally with a stochastic
+  /// model. Applied before `link.loss`; set from the losses axis.
+  netem::LossModels loss;
 
   /// Server default PTO (the paper's quic-go server: 200 ms).
   sim::Duration server_default_pto = sim::Millis(200);
@@ -144,6 +146,7 @@ class RunContext {
  private:
   sim::EventQueue queue_;  // declared first: destroyed last, after its users
   sim::Arena arena_;       // per-run scratch; reset wholesale between runs
+  sim::Link::Config link_config_;  // kept across runs: reuses the loss lists' storage
   std::optional<sim::Link> link_;
   std::optional<quic::ClientConnection> client_;
   std::optional<quic::ServerConnection> server_;

@@ -1,10 +1,38 @@
 #include "core/loss_scenarios.h"
 
-#include <vector>
+#include <algorithm>
 
 #include "quic/types.h"
 
 namespace quicer::core {
+namespace {
+
+/// Drops datagrams [first, last] (1-based) in direction `dir`.
+netem::LossModels DropRange(int dir, int first, int last) {
+  netem::LossModels models;
+  for (int i = first; i <= last; ++i) {
+    models[dir].drop_indices.push_back(static_cast<std::uint64_t>(i));
+  }
+  return models;
+}
+
+}  // namespace
+
+std::string_view FlightName(LossCase c) {
+  switch (c) {
+    case LossCase::kNoLoss: return "none";
+    case LossCase::kFirstServerFlightTail: return "first-server-flight-tail";
+    case LossCase::kSecondClientFlight: return "second-client-flight";
+  }
+  return "?";
+}
+
+std::optional<LossCase> FlightFromName(std::string_view name) {
+  for (LossCase c : kLossCases) {
+    if (FlightName(c) == name) return c;
+  }
+  return std::nullopt;
+}
 
 int ServerFlightDatagrams(std::size_t certificate_bytes, http::Version version,
                           const tls::HandshakeSizes& sizes) {
@@ -27,30 +55,28 @@ int ServerFlightDatagrams(std::size_t certificate_bytes, http::Version version,
   return datagrams;
 }
 
-sim::LossPattern FirstServerFlightTailLoss(quic::ServerBehavior behavior,
-                                           std::size_t certificate_bytes,
-                                           http::Version version) {
+netem::LossModels FirstServerFlightTailLoss(quic::ServerBehavior behavior,
+                                            std::size_t certificate_bytes,
+                                            http::Version version) {
   const int flight = ServerFlightDatagrams(certificate_bytes, version);
-  sim::LossPattern pattern;
-  std::vector<int> drops;
-  if (behavior == quic::ServerBehavior::kWaitForCertificate) {
-    // Datagram 1 = coalesced ACK+SH(+HS head); drop 2..flight.
-    for (int i = 2; i <= flight; ++i) drops.push_back(i);
-  } else {
-    // Datagram 1 = instant ACK; flight occupies 2..flight+1.
-    for (int i = 2; i <= flight + 1; ++i) drops.push_back(i);
-  }
-  pattern.DropIndexRange(sim::Direction::kServerToClient, drops);
-  return pattern;
+  // WFC: datagram 1 = coalesced ACK+SH(+HS head); drop 2..flight.
+  // IACK: datagram 1 = instant ACK; the flight occupies 2..flight+1.
+  const int last = behavior == quic::ServerBehavior::kWaitForCertificate ? flight : flight + 1;
+  return DropRange(netem::kDown, 2, last);
 }
 
-sim::LossPattern SecondClientFlightLoss(clients::ClientImpl client) {
-  const int flight = clients::SecondFlightDatagrams(client);
-  sim::LossPattern pattern;
-  std::vector<int> drops;
-  for (int i = 2; i <= 1 + flight; ++i) drops.push_back(i);
-  pattern.DropIndexRange(sim::Direction::kClientToServer, drops);
-  return pattern;
+netem::LossModels SecondClientFlightLoss(clients::ClientImpl client) {
+  return DropRange(netem::kUp, 2, 1 + clients::SecondFlightDatagrams(client));
+}
+
+netem::LossModels FlightLoss(LossCase flight, const ExperimentConfig& config) {
+  switch (flight) {
+    case LossCase::kNoLoss: return {};
+    case LossCase::kFirstServerFlightTail:
+      return FirstServerFlightTailLoss(config.behavior, config.certificate_bytes, config.http);
+    case LossCase::kSecondClientFlight: return SecondClientFlightLoss(config.client);
+  }
+  return {};
 }
 
 }  // namespace quicer::core

@@ -264,6 +264,13 @@ const std::vector<ConfigFieldSpec>& ConfigFields() {
        [](const JsonValue& v, ExperimentConfig& c, std::string& e) {
          return netem::ParseLinkModel(v, c.link, e);
        }},
+      {"loss", "object",
+       "scenario datagram loss, checked before `link` loss: the paper's dropped "
+       "datagram indices and/or stochastic loss per direction (`{}` = none; see docs/netem)",
+       [](const ExperimentConfig& c) { return netem::LossModelsJson(c.loss); },
+       [](const JsonValue& v, ExperimentConfig& c, std::string& e) {
+         return netem::ParseLossModels(v, c.loss, e);
+       }},
   };
   return *fields;
 }
@@ -332,9 +339,17 @@ std::string ScenarioJson(const SweepSpec& spec, std::string_view bench, int inde
   AppendMsArray(out, spec.axes.cert_fetch_delays);
   out += ",\n" + in2 + "\"certificate_sizes\": ";
   AppendJsonSizeArray(out, spec.axes.certificate_sizes);
-  out += ",\n" + in2 + "\"losses\": ";
-  AppendLabelArray(out, spec.axes.losses,
-                   [](const SweepLoss& l) { return std::string_view(l.label); });
+  out += ",\n" + in2 + "\"losses\": [";
+  for (std::size_t l = 0; l < spec.axes.losses.size(); ++l) {
+    const SweepLoss& loss = spec.axes.losses[l];
+    out += l == 0 ? "\n" : ",\n";
+    out += in2 + "  {\"label\": " + Quoted(loss.label);
+    if (loss.flight != LossCase::kNoLoss) out += ", \"flight\": " + Quoted(FlightName(loss.flight));
+    if (!netem::IsDefault(loss.loss)) out += ", \"loss\": " + netem::LossModelsJson(loss.loss);
+    out += "}";
+    if (l + 1 == spec.axes.losses.size()) out += "\n" + in2;
+  }
+  out += "]";
   out += ",\n" + in2 + "\"variants\": ";
   AppendLabelArray(out, spec.axes.variants,
                    [](const SweepVariant& v) { return std::string_view(v.label); });
@@ -404,16 +419,43 @@ struct ParseContext {
   }
 };
 
+std::string KnownLabels(const std::vector<std::string>& host,
+                        const std::vector<std::string>& builtin) {
+  std::string out;
+  for (const std::vector<std::string>* group : {&host, &builtin}) {
+    for (const std::string& label : *group) {
+      if (out.find("'" + label + "'") != std::string::npos) continue;
+      if (!out.empty()) out += ", ";
+      out += "'" + label + "'";
+    }
+  }
+  return out.empty() ? "(none)" : out;
+}
+
+/// The flight names a losses entry (or a legacy label) may use.
+std::vector<std::string> FlightNames() {
+  std::vector<std::string> names;
+  for (LossCase c : kLossCases) names.emplace_back(FlightName(c));
+  return names;
+}
+
+/// A non-empty string (names and labels).
+bool ParseName(const JsonValue& v, const std::string& path, std::string& out,
+               ParseContext& ctx) {
+  if (v.type() != JsonValue::Type::kString || v.AsString().empty()) {
+    return ctx.Fail(path, "expected a non-empty string");
+  }
+  out = v.AsString();
+  return true;
+}
+
 bool ParseMetric(const JsonValue& v, const std::string& path, Scenario::Metric& metric,
                  ParseContext& ctx) {
   if (v.type() != JsonValue::Type::kObject) return ctx.Fail(path, "expected an object");
   for (const auto& [key, value] : v.Members()) {
     std::string e;
     if (key == "name") {
-      if (value.type() != JsonValue::Type::kString || value.AsString().empty()) {
-        return ctx.Fail(path + ".name", "expected a non-empty string");
-      }
-      metric.name = value.AsString();
+      if (!ParseName(value, path + ".name", metric.name, ctx)) return false;
     } else if (key == "mode") {
       if (value.type() == JsonValue::Type::kString && value.AsString() == "summary") {
         metric.mode = MetricMode::kSummary;
@@ -447,10 +489,7 @@ bool ParseExtras(const JsonValue& v, const std::string& path,
     SweepExtraAxis axis;
     for (const auto& [key, value] : entry.Members()) {
       if (key == "name") {
-        if (value.type() != JsonValue::Type::kString || value.AsString().empty()) {
-          return ctx.Fail(entry_path + ".name", "expected a non-empty string");
-        }
-        axis.name = value.AsString();
+        if (!ParseName(value, entry_path + ".name", axis.name, ctx)) return false;
       } else if (key == "values") {
         if (value.type() != JsonValue::Type::kArray) {
           return ctx.Fail(entry_path + ".values", "expected an array");
@@ -506,10 +545,7 @@ bool ParseLinks(const JsonValue& v, const std::string& path, std::vector<SweepLi
     bool have_model = false;
     for (const auto& [key, value] : entry.Members()) {
       if (key == "label") {
-        if (value.type() != JsonValue::Type::kString || value.AsString().empty()) {
-          return ctx.Fail(entry_path + ".label", "expected a non-empty string");
-        }
-        link.label = value.AsString();
+        if (!ParseName(value, entry_path + ".label", link.label, ctx)) return false;
       } else if (key == "link") {
         std::string e;
         if (!netem::ParseLinkModel(value, link.model, e)) {
@@ -522,6 +558,52 @@ bool ParseLinks(const JsonValue& v, const std::string& path, std::vector<SweepLi
     }
     if (!have_model) return ctx.Fail(entry_path, "misses its 'link' model");
     links.push_back(std::move(link));
+  }
+  return true;
+}
+
+/// Parses the losses axis. An entry is {"label": ..., "flight": NAME,
+/// "loss": MODELS} (flight and loss optional) or, as legacy shorthand, a
+/// bare label that ApplyScenario resolves.
+bool ParseLosses(const JsonValue& v, const std::string& path,
+                 std::vector<Scenario::Loss>& losses, ParseContext& ctx) {
+  if (v.type() != JsonValue::Type::kArray) return ctx.Fail(path, "expected an array");
+  for (std::size_t i = 0; i < v.Items().size(); ++i) {
+    const JsonValue& entry = v.Items()[i];
+    const std::string entry_path = path + "[" + std::to_string(i) + "]";
+    Scenario::Loss loss;
+    loss.entry.label.clear();
+    if (entry.type() == JsonValue::Type::kString) {
+      loss.by_label = true;
+      if (!ParseName(entry, entry_path, loss.entry.label, ctx)) return false;
+      losses.push_back(std::move(loss));
+      continue;
+    }
+    if (entry.type() != JsonValue::Type::kObject) {
+      return ctx.Fail(entry_path, "expected an object or a legacy label string");
+    }
+    for (const auto& [key, value] : entry.Members()) {
+      if (key == "label") {
+        if (!ParseName(value, entry_path + ".label", loss.entry.label, ctx)) return false;
+      } else if (key == "flight") {
+        const std::optional<LossCase> flight =
+            FlightFromName(value.type() == JsonValue::Type::kString ? value.AsString() : "");
+        if (!flight) {
+          return ctx.Fail(entry_path + ".flight",
+                          "unknown flight (valid: " + KnownLabels({}, FlightNames()) + ")");
+        }
+        loss.entry.flight = *flight;
+      } else if (key == "loss") {
+        std::string e;
+        if (!netem::ParseLossModels(value, loss.entry.loss, e)) {
+          return ctx.Fail(entry_path + ".loss", e);
+        }
+      } else {
+        return ctx.Fail(entry_path, "unknown field '" + key + "' (known: label, flight, loss)");
+      }
+    }
+    if (loss.entry.label.empty()) return ctx.Fail(entry_path, "misses its 'label'");
+    losses.push_back(std::move(loss));
   }
   return true;
 }
@@ -600,7 +682,7 @@ bool ParseAxes(const JsonValue& v, const std::string& path, Scenario& scenario,
         return false;
       }
     } else if (key == "losses") {
-      if (!ParseStringArray(value, key_path, scenario.losses, ctx)) return false;
+      if (!ParseLosses(value, key_path, scenario.losses, ctx)) return false;
     } else if (key == "variants") {
       if (!ParseStringArray(value, key_path, scenario.variants, ctx)) return false;
     } else if (key == "links") {
@@ -627,10 +709,7 @@ bool ParseScenarioObject(const JsonValue& v, const std::string& path, Scenario& 
       if (value.type() != JsonValue::Type::kString) return ctx.Fail(key_path, "expected a string");
       scenario.bench = value.AsString();
     } else if (key == "sweep") {
-      if (value.type() != JsonValue::Type::kString || value.AsString().empty()) {
-        return ctx.Fail(key_path, "expected a non-empty string");
-      }
-      scenario.sweep = value.AsString();
+      if (!ParseName(value, key_path, scenario.sweep, ctx)) return false;
     } else if (key == "repetitions") {
       std::size_t reps = 0;
       if (!ResolveSize(value, 1.0, reps, e)) return ctx.Fail(key_path, e);
@@ -739,22 +818,6 @@ std::optional<std::vector<Scenario>> ParseScenarioFile(std::string_view text,
 
 namespace {
 
-/// Builtin loss scenarios addressable from any grid file, independent of
-/// what the host sweep compiled in. Every `make` resolves against the fully
-/// resolved point config, like the bench-declared ones.
-const std::vector<SweepLoss>& BuiltinLosses() {
-  static const std::vector<SweepLoss>* losses = new std::vector<SweepLoss>{
-      {"none", nullptr},
-      {"first-server-flight-tail",
-       [](const ExperimentConfig& c) {
-         return FirstServerFlightTailLoss(c.behavior, c.certificate_bytes, c.http);
-       }},
-      {"second-client-flight",
-       [](const ExperimentConfig& c) { return SecondClientFlightLoss(c.client); }},
-  };
-  return *losses;
-}
-
 /// Builtin metric extractors for the default experiment runner.
 const MetricSpec* BuiltinMetric(const std::string& name) {
   static const std::vector<MetricSpec>* metrics = new std::vector<MetricSpec>{
@@ -768,18 +831,6 @@ const MetricSpec* BuiltinMetric(const std::string& name) {
   return nullptr;
 }
 
-std::string KnownLabels(const std::vector<std::string>& host,
-                        const std::vector<std::string>& builtin) {
-  std::string out;
-  for (const std::vector<std::string>* group : {&host, &builtin}) {
-    for (const std::string& label : *group) {
-      if (out.find("'" + label + "'") != std::string::npos) continue;
-      if (!out.empty()) out += ", ";
-      out += "'" + label + "'";
-    }
-  }
-  return out.empty() ? "(none)" : out;
-}
 
 }  // namespace
 
@@ -793,27 +844,29 @@ bool ApplyScenario(const Scenario& scenario, SweepSpec& spec, std::string* error
                 spec.name + "'");
   }
 
-  // Resolve function-valued labels against the live spec first (it owns the
-  // exact closures the compiled grid uses), builtins second.
+  // Legacy bare loss labels resolve against the live spec first, then as
+  // flight names; structural entries are taken as written.
   std::vector<SweepLoss> losses;
-  for (const std::string& label : scenario.losses) {
+  for (const Scenario::Loss& wanted : scenario.losses) {
+    if (!wanted.by_label) {
+      losses.push_back(wanted.entry);
+      continue;
+    }
+    const std::string& label = wanted.entry.label;
     const SweepLoss* found = nullptr;
     for (const SweepLoss& host : spec.axes.losses) {
       if (host.label == label) found = &host;
     }
-    if (found == nullptr) {
-      for (const SweepLoss& builtin : BuiltinLosses()) {
-        if (builtin.label == label) found = &builtin;
-      }
-    }
-    if (found == nullptr) {
-      std::vector<std::string> host_labels, builtin_labels;
+    if (found != nullptr) {
+      losses.push_back(*found);
+    } else if (const std::optional<LossCase> flight = FlightFromName(label)) {
+      losses.push_back(SweepLoss{label, *flight, {}});
+    } else {
+      std::vector<std::string> host_labels;
       for (const SweepLoss& host : spec.axes.losses) host_labels.push_back(host.label);
-      for (const SweepLoss& builtin : BuiltinLosses()) builtin_labels.push_back(builtin.label);
       return fail("sweep '" + spec.name + "': unknown loss scenario '" + label +
-                  "' (known: " + KnownLabels(host_labels, builtin_labels) + ")");
+                  "' (known: " + KnownLabels(host_labels, FlightNames()) + ")");
     }
-    losses.push_back(*found);
   }
 
   std::vector<SweepVariant> variants;

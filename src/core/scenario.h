@@ -8,24 +8,27 @@
 // source of truth for names, defaults, enum labels and validation — and the
 // generator of the README defaults table).
 //
-// Functions do not serialize. A SweepSpec's loss builders, variant
-// mutations, metric extractors and runners are C++ closures; a scenario
-// file refers to them *by label* and ApplyScenario resolves the labels
-// against the live spec of the same (bench, sweep) — captured via the
-// enumerate pass, no experiments run — plus a small registry of builtin
-// losses ("none", "first-server-flight-tail", "second-client-flight") and
-// metrics ("ttfb_ms", "response_ttfb_ms"). So `bench_suite export-grid B |
-// bench_suite run --grid=-` reproduces the compiled-in grid byte for byte,
-// and a hand-edited copy sweeps axes the paper never shipped without
-// touching a compiler.
+// Loss is data: netem loss models (the paper's dropped datagram indices)
+// plus an optional named flight that Enumerate resolves per point. A bare
+// string in "losses" is legacy shorthand, resolved against the live spec's
+// labels first, then as a flight name.
+//
+// Functions do not serialize. A SweepSpec's variant mutations, metric
+// extractors and runners are C++ closures; a scenario file refers to them
+// *by label* and ApplyScenario resolves the labels against the live spec
+// of the same (bench, sweep) — captured via the enumerate pass, no
+// experiments run — plus builtin metrics ("ttfb_ms", "response_ttfb_ms").
+// So `bench_suite export-grid B | bench_suite run --grid=-` reproduces the
+// compiled-in grid byte for byte, and a hand-edited copy sweeps axes the
+// paper never shipped without touching a compiler.
 //
 // ScenarioHash fingerprints the canonical serialization. RunSweep stamps it
 // into every result, partial files and work units carry it, and the merge /
 // collect phases refuse to combine partials whose hashes differ — two
 // shards of "the same" sweep run from different grid files can never
 // silently mix. The hash covers exactly the serializable data: label-
-// resolved closures (loss builders, variant mutations, extractors, runners)
-// hash by label, so binaries whose *code* diverged under unchanged labels
+// resolved closures (variant mutations, extractors, runners) hash by label,
+// so binaries whose *code* diverged under unchanged labels
 // are not distinguished — a distributed pool should run one binary
 // revision per queue.
 #pragma once
@@ -61,16 +64,22 @@ struct ConfigFieldSpec {
   bool (*read)(const JsonValue& value, ExperimentConfig& config, std::string& error);
 };
 
-/// The descriptor table, in canonical serialization order. `base.loss` and
-/// `client_config_override` are deliberately absent: loss patterns are
-/// expressed through the losses axis, and full config overrides are a
-/// C++-only escape hatch.
+/// The descriptor table, in canonical serialization order.
+/// `client_config_override` is deliberately absent: full config overrides
+/// are a C++-only escape hatch.
 const std::vector<ConfigFieldSpec>& ConfigFields();
 
 /// The serializable data of one SweepSpec, as parsed from a scenario file.
-/// Losses, variants and metrics are labels/names; ApplyScenario resolves
-/// them to functions.
+/// Variants and metrics are labels/names; ApplyScenario resolves them to
+/// functions.
 struct Scenario {
+  /// One losses-axis entry: structural, or a legacy bare label (`by_label`,
+  /// only `entry.label` set) that ApplyScenario resolves.
+  struct Loss {
+    SweepLoss entry;
+    bool by_label = false;
+  };
+
   std::string bench;  // provenance; optional in hand-authored files
   std::string sweep;
   int repetitions = 25;
@@ -87,7 +96,7 @@ struct Scenario {
   std::vector<sim::Duration> rtts;
   std::vector<sim::Duration> cert_fetch_delays;
   std::vector<std::size_t> certificate_sizes;
-  std::vector<std::string> losses;    // labels, resolved by ApplyScenario
+  std::vector<Loss> losses;
   std::vector<std::string> variants;  // labels, resolved by ApplyScenario
   std::vector<SweepLink> links;       // structural netem models (no resolution)
   std::vector<SweepExtraAxis> extras;
@@ -120,8 +129,8 @@ std::optional<std::vector<Scenario>> ParseScenarioFile(std::string_view text,
 
 /// Overwrites the data fields of `spec` — which must be the live spec of
 /// the scenario's sweep (spec.name == scenario.sweep) — with the
-/// scenario's, resolving loss/variant labels and metric names against the
-/// spec's compiled-in axes first and the builtin registries second.
+/// scenario's, resolving legacy loss labels, variant labels and metric
+/// names against the spec's compiled-in axes first and the builtins second.
 /// Execution control (shard, observer, runner, budget, sinks) is left
 /// untouched. Returns false and fills `error` on an unresolvable label.
 bool ApplyScenario(const Scenario& scenario, SweepSpec& spec, std::string* error = nullptr);

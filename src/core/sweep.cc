@@ -76,6 +76,18 @@ std::vector<std::vector<std::pair<std::string, SweepAxisValue>>> EnumerateExtras
   return combos;
 }
 
+/// A losses-axis entry resolved against a point's config: the entry's models
+/// with the flight's drop indices appended.
+netem::LossModels ResolveLoss(const SweepLoss& loss, const ExperimentConfig& config) {
+  netem::LossModels resolved = loss.loss;
+  const netem::LossModels flight = FlightLoss(loss.flight, config);
+  for (int dir : {netem::kUp, netem::kDown}) {
+    std::vector<std::uint64_t>& drops = resolved[dir].drop_indices;
+    drops.insert(drops.end(), flight[dir].drop_indices.begin(), flight[dir].drop_indices.end());
+  }
+  return resolved;
+}
+
 /// The metric set a spec actually runs with: spec.metrics, or the single
 /// default TtfbMs summary metric.
 std::vector<MetricSpec> ResolveMetrics(const SweepSpec& spec) {
@@ -179,10 +191,13 @@ std::vector<SweepPoint> Enumerate(const SweepSpec& spec) {
   const auto clients = AxisOrDefault(spec.axes.clients);
   const auto behaviors = AxisOrDefault(spec.axes.behaviors);
 
+  // An empty losses axis keeps base.loss: labeled "none" without drops,
+  // "base" otherwise. An axis entry replaces base.loss.
+  const bool losses_from_axis = !spec.axes.losses.empty();
   std::vector<SweepLoss> losses = spec.axes.losses;
   if (losses.empty()) {
     SweepLoss keep;
-    keep.label = spec.base.loss.empty() ? "none" : "base";
+    keep.label = netem::IsDefault(spec.base.loss) ? "none" : "base";
     losses.push_back(std::move(keep));
   }
   std::vector<SweepVariant> variants = spec.axes.variants;
@@ -226,7 +241,7 @@ std::vector<SweepPoint> Enumerate(const SweepSpec& spec) {
                     continue;
                   }
                   if (variant.mutate) variant.mutate(point.config);
-                  if (loss.make) point.config.loss = loss.make(point.config);
+                  if (losses_from_axis) point.config.loss = ResolveLoss(loss, point.config);
 
                   point.client = std::string(clients::Name(point.config.client));
                   point.http = std::string(http::ToString(point.config.http));

@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/loss_scenarios.h"
 #include "stats/accumulator.h"
 
 namespace quicer::core {
@@ -68,18 +69,20 @@ namespace quicer::core {
 class CsvWriter;
 class ThreadPool;
 
-/// One named loss scenario. `make` resolves the pattern against the fully
-/// resolved point config, because the paper's deterministic drops depend on
-/// the point (behavior, certificate size, client coalescing, HTTP version).
+/// One named loss scenario, pure data. A point's config.loss is `loss` plus
+/// the drops of `flight`, which Enumerate resolves against the point's
+/// config after variants are applied: the paper's flights map to datagram
+/// indices that depend on the point (behavior, certificate size, client
+/// coalescing, HTTP version).
 struct SweepLoss {
   std::string label = "none";
-  /// Null means "keep base.loss".
-  std::function<sim::LossPattern(const ExperimentConfig&)> make;
+  LossCase flight = LossCase::kNoLoss;
+  netem::LossModels loss;
 };
 
 /// A named config mutation — the escape hatch for sweeping knobs that are
 /// not first-class axes (server default PTO, §5 tuning flags, ...). Applied
-/// after the first-class axes and before the loss pattern is resolved.
+/// after the first-class axes and before the loss flight is resolved.
 struct SweepVariant {
   std::string label = "base";
   /// Null means "leave the config unchanged".
@@ -87,9 +90,9 @@ struct SweepVariant {
 };
 
 /// One named link-emulation model (netem::LinkModel): stochastic loss,
-/// bottleneck queue, asymmetric path overrides. Unlike losses and variants
-/// this axis is pure data — scenario files carry the model structurally,
-/// no label resolution against compiled-in closures.
+/// bottleneck queue, asymmetric path overrides. Like losses, and unlike
+/// variants, this axis is pure data — scenario files carry the model
+/// structurally, no label resolution against compiled-in closures.
 struct SweepLink {
   std::string label = "default";
   netem::LinkModel model;

@@ -1,5 +1,6 @@
 #include "netem/codec.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -14,8 +15,13 @@ using core::JsonValue;
 constexpr double kMaxExactInteger = 9007199254740992.0;  // 2^53
 
 bool Fail(std::string& error, const std::string& path, const std::string& message) {
-  error = path + ": " + message;
+  error = path.empty() ? message : path + ": " + message;
   return false;
+}
+
+/// `path.key`, or `key` at the top level.
+std::string Child(const std::string& path, const std::string& key) {
+  return path.empty() ? key : path + "." + key;
 }
 
 /// A finite number in [minimum, maximum].
@@ -53,32 +59,60 @@ bool ParseCount(const JsonValue& v, const std::string& path, std::size_t& out,
   return true;
 }
 
+/// The "drop" list: positive integral datagram indices, stored sorted and
+/// deduplicated (the order of a drop list carries no meaning).
+bool ParseDrops(const JsonValue& v, const std::string& path, std::vector<std::uint64_t>& out,
+                std::string& error) {
+  if (v.type() != JsonValue::Type::kArray) {
+    return Fail(error, path, "expected an array of 1-based datagram indices");
+  }
+  for (std::size_t i = 0; i < v.Items().size(); ++i) {
+    const std::string item_path = path + "[" + std::to_string(i) + "]";
+    std::size_t index = 0;
+    if (!ParseCount(v.Items()[i], item_path, index, error)) return false;
+    if (index == 0) return Fail(error, item_path, "datagram indices are 1-based");
+    out.push_back(index);
+  }
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return true;
+}
+
+/// {"drop": [...]} and/or one stochastic kind ("bernoulli" or "gilbert").
 bool ParseLossModel(const JsonValue& v, const std::string& path, LossModel& out,
                     std::string& error) {
-  if (v.type() != JsonValue::Type::kObject) return Fail(error, path, "expected an object");
-  if (v.Members().size() != 1) {
-    return Fail(error, path, "expected exactly one loss kind ('bernoulli' or 'gilbert')");
+  if (v.type() != JsonValue::Type::kObject || v.Members().empty()) {
+    return Fail(error, path, "expected an object with 'drop' and/or 'bernoulli' or 'gilbert'");
   }
-  const auto& [kind, body] = v.Members().front();
-  const std::string kind_path = path + "." + kind;
-  if (body.type() != JsonValue::Type::kObject) {
-    return Fail(error, kind_path, "expected an object");
-  }
-  if (kind == "bernoulli") {
-    out.kind = LossModel::Kind::kBernoulli;
-    bool have_rate = false;
-    for (const auto& [key, value] : body.Members()) {
-      if (key == "rate") {
+  out = LossModel{};
+  for (const auto& [kind, body] : v.Members()) {
+    const std::string kind_path = path + "." + kind;
+    if (kind == "drop") {
+      if (!ParseDrops(body, kind_path, out.drop_indices, error)) return false;
+      continue;
+    }
+    if (kind != "bernoulli" && kind != "gilbert") {
+      return Fail(error, path, "unknown field '" + kind + "' (known: drop, bernoulli, gilbert)");
+    }
+    if (out.kind != LossModel::Kind::kNone) {
+      return Fail(error, path, "expected at most one loss kind ('bernoulli' or 'gilbert')");
+    }
+    if (body.type() != JsonValue::Type::kObject) {
+      return Fail(error, kind_path, "expected an object");
+    }
+    if (kind == "bernoulli") {
+      out.kind = LossModel::Kind::kBernoulli;
+      bool have_rate = false;
+      for (const auto& [key, value] : body.Members()) {
+        if (key != "rate") {
+          return Fail(error, kind_path, "unknown field '" + key + "' (known: rate)");
+        }
         if (!ParseNumber(value, kind_path + ".rate", 0.0, 1.0, out.rate, error)) return false;
         have_rate = true;
-      } else {
-        return Fail(error, kind_path, "unknown field '" + key + "' (known: rate)");
       }
+      if (!have_rate) return Fail(error, kind_path, "misses 'rate'");
+      continue;
     }
-    if (!have_rate) return Fail(error, kind_path, "misses 'rate'");
-    return true;
-  }
-  if (kind == "gilbert") {
     out.kind = LossModel::Kind::kGilbertElliott;
     bool have_p = false, have_r = false;
     for (const auto& [key, value] : body.Members()) {
@@ -102,9 +136,8 @@ bool ParseLossModel(const JsonValue& v, const std::string& path, LossModel& out,
       }
     }
     if (!have_p || !have_r) return Fail(error, kind_path, "misses 'p' and/or 'r'");
-    return true;
   }
-  return Fail(error, path, "unknown loss kind '" + kind + "' (known: bernoulli, gilbert)");
+  return true;
 }
 
 bool ParseQueueModel(const JsonValue& v, const std::string& path, QueueModel& out,
@@ -134,20 +167,20 @@ bool ParseQueueModel(const JsonValue& v, const std::string& path, QueueModel& ou
 
 /// Parses a {"up": ..., "down": ..., "both": ...} direction object with a
 /// per-model parser; "both" excludes the other two.
-template <typename Model, typename Parser>
-bool ParseDirections(const JsonValue& v, const std::string& path, Model (&out)[2],
-                     Parser parse, std::string& error) {
+template <typename Models, typename Parser>
+bool ParseDirections(const JsonValue& v, const std::string& path, Models& out, Parser parse,
+                     std::string& error) {
   if (v.type() != JsonValue::Type::kObject) return Fail(error, path, "expected an object");
   bool have_both = false, have_side = false;
   for (const auto& [key, value] : v.Members()) {
     if (key == "up") {
-      if (!parse(value, path + ".up", out[kUp], error)) return false;
+      if (!parse(value, Child(path, "up"), out[kUp], error)) return false;
       have_side = true;
     } else if (key == "down") {
-      if (!parse(value, path + ".down", out[kDown], error)) return false;
+      if (!parse(value, Child(path, "down"), out[kDown], error)) return false;
       have_side = true;
     } else if (key == "both") {
-      if (!parse(value, path + ".both", out[kUp], error)) return false;
+      if (!parse(value, Child(path, "both"), out[kUp], error)) return false;
       out[kDown] = out[kUp];
       have_both = true;
     } else {
@@ -192,20 +225,22 @@ bool ParsePath(const JsonValue& v, const std::string& path, PathOverride (&out)[
 // ---------------------------------------------------------------------------
 
 std::string LossJson(const LossModel& m) {
-  switch (m.kind) {
-    case LossModel::Kind::kNone:
-      return "{}";
-    case LossModel::Kind::kBernoulli:
-      return "{\"bernoulli\": {\"rate\": " + JsonNumber(m.rate) + "}}";
-    case LossModel::Kind::kGilbertElliott: {
-      std::string out =
-          "{\"gilbert\": {\"p\": " + JsonNumber(m.p) + ", \"r\": " + JsonNumber(m.r);
-      if (m.loss_good != 0.0) out += ", \"loss_good\": " + JsonNumber(m.loss_good);
-      if (m.loss_bad != 1.0) out += ", \"loss_bad\": " + JsonNumber(m.loss_bad);
-      return out + "}}";
+  std::string out = "{";
+  if (!m.drop_indices.empty()) {
+    for (std::size_t i = 0; i < m.drop_indices.size(); ++i) {
+      out += (i == 0 ? "\"drop\": [" : ", ") + std::to_string(m.drop_indices[i]);
     }
+    out += m.kind == LossModel::Kind::kNone ? "]" : "], ";
   }
-  return "{}";
+  if (m.kind == LossModel::Kind::kBernoulli) {
+    out += "\"bernoulli\": {\"rate\": " + JsonNumber(m.rate) + "}";
+  } else if (m.kind == LossModel::Kind::kGilbertElliott) {
+    out += "\"gilbert\": {\"p\": " + JsonNumber(m.p) + ", \"r\": " + JsonNumber(m.r);
+    if (m.loss_good != 0.0) out += ", \"loss_good\": " + JsonNumber(m.loss_good);
+    if (m.loss_bad != 1.0) out += ", \"loss_bad\": " + JsonNumber(m.loss_bad);
+    out += "}";
+  }
+  return out + "}";
 }
 
 std::string QueueJson(const QueueModel& m) {
@@ -224,8 +259,8 @@ std::string QueueJson(const QueueModel& m) {
 
 /// "up"/"down" members of the non-default directional models, or "" when
 /// both directions are default.
-template <typename Model, typename Writer>
-std::string DirectionsJson(const Model (&models)[2], Writer write) {
+template <typename Models, typename Writer>
+std::string DirectionsJson(const Models& models, Writer write) {
   std::string out;
   if (!models[kUp].IsDefault()) out += "\"up\": " + write(models[kUp]);
   if (!models[kDown].IsDefault()) {
@@ -277,6 +312,16 @@ std::string LinkModelJson(const LinkModel& model) {
   return "{" + out + "}";
 }
 
+std::string LossModelsJson(const LossModels& models) {
+  const std::string out = DirectionsJson(models, LossJson);
+  return out.empty() ? "{}" : out;
+}
+
+bool ParseLossModels(const core::JsonValue& value, LossModels& out, std::string& error) {
+  out = LossModels{};
+  return ParseDirections(value, "", out, ParseLossModel, error);
+}
+
 bool ParseLinkModel(const core::JsonValue& value, LinkModel& out, std::string& error) {
   if (value.type() != JsonValue::Type::kObject) {
     error = "expected an object";
@@ -285,19 +330,9 @@ bool ParseLinkModel(const core::JsonValue& value, LinkModel& out, std::string& e
   out = LinkModel{};
   for (const auto& [key, member] : value.Members()) {
     if (key == "loss") {
-      if (!ParseDirections(member, "loss", out.loss,
-                           [](const JsonValue& v, const std::string& p, LossModel& m,
-                              std::string& e) { return ParseLossModel(v, p, m, e); },
-                           error)) {
-        return false;
-      }
+      if (!ParseDirections(member, "loss", out.loss, ParseLossModel, error)) return false;
     } else if (key == "queue") {
-      if (!ParseDirections(member, "queue", out.queue,
-                           [](const JsonValue& v, const std::string& p, QueueModel& m,
-                              std::string& e) { return ParseQueueModel(v, p, m, e); },
-                           error)) {
-        return false;
-      }
+      if (!ParseDirections(member, "queue", out.queue, ParseQueueModel, error)) return false;
     } else if (key == "path") {
       if (!ParsePath(member, "path", out.path, error)) return false;
     } else {

@@ -1,5 +1,6 @@
-// JSON codec of netem::LinkModel — the serialization the scenario codec's
-// "link" base field and "links" axis embed.
+// JSON codec of netem::LinkModel and netem::LossModels — the serialization
+// the scenario codec's "link" and "loss" base fields, "links" axis and
+// losses-axis entries embed.
 //
 // Canonical form (compact, one line), with every default omitted so the
 // legacy pipe is the empty object `{}`:
@@ -9,8 +10,10 @@
 //    "path": {"up_bps": N, "down_bps": N, "up_delay_ms": N, "down_delay_ms": N,
 //             "up_jitter_ms": N, "down_jitter_ms": N}}
 //
-//   L = {"bernoulli": {"rate": R}}
-//     | {"gilbert": {"p": P, "r": R, "loss_good": G, "loss_bad": B}}
+//   L = {"drop": [I, ...], K} with at least one member; I >= 1 is a datagram
+//       index (sorted and deduplicated on parse), checked before K
+//   K = "bernoulli": {"rate": R}
+//     | "gilbert": {"p": P, "r": R, "loss_good": G, "loss_bad": B}
 //       (loss_good omitted at 0, loss_bad omitted at 1 — the classic
 //        Gilbert channel)
 //   Q = {"depth_pkts": N, "depth_bytes": N, "aqm": "codel"}
@@ -37,6 +40,14 @@ namespace quicer::netem {
 
 /// Canonical compact JSON of `model` ("{}" for the default pipe).
 std::string LinkModelJson(const LinkModel& model);
+
+/// Canonical compact JSON of per-direction loss models, the "loss" member
+/// above ({"up": L, "down": L}; "{}" when neither direction loses).
+std::string LossModelsJson(const LossModels& models);
+
+/// Parses LossModels ({"up"/"down"/"both": L}). On failure returns false and
+/// fills `error` with an "up.drop[0]: ..."-style sub-path message.
+bool ParseLossModels(const core::JsonValue& value, LossModels& out, std::string& error);
 
 /// Parses a LinkModel from a JSON value (as documented above). On failure
 /// returns false and fills `error` with a "loss.up.gilbert.p: ..."-style

@@ -1,5 +1,7 @@
 #include "netem/loss_process.h"
 
+#include <algorithm>
+
 namespace quicer::netem {
 namespace {
 
@@ -14,7 +16,9 @@ bool Happens(double p, sim::Rng& rng) {
 
 }  // namespace
 
-bool LossProcess::ShouldDrop(sim::Rng& rng) {
+bool LossProcess::ShouldDrop(std::uint64_t index, sim::Rng& rng) {
+  const std::vector<std::uint64_t>& drops = model_.drop_indices;
+  if (std::find(drops.begin(), drops.end(), index) != drops.end()) return true;
   switch (model_.kind) {
     case LossModel::Kind::kNone:
       return false;

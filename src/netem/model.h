@@ -3,8 +3,9 @@
 // The paper runs every experiment over one idealized pipe — symmetric
 // one-way delay, fixed bottleneck bandwidth, deterministic per-datagram
 // loss. This module makes the path pluggable: composable per-direction
-// models for stochastic loss (independent Bernoulli, Gilbert–Elliott
-// two-state bursty), the bottleneck queue discipline (legacy
+// models for loss (the paper's dropped datagram indices, independent
+// Bernoulli, Gilbert–Elliott two-state bursty), the bottleneck queue
+// discipline (legacy
 // transmitter-busy clock, or a bounded FIFO with a tail-drop AQM and a
 // CoDel hook stubbed for later), and asymmetric path parameters (up/down
 // bandwidth, one-way delay, jitter). These structs are pure data — the
@@ -14,8 +15,11 @@
 // legacy pipe bit for bit.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "sim/time.h"
 
@@ -27,16 +31,19 @@ namespace quicer::netem {
 inline constexpr int kUp = 0;
 inline constexpr int kDown = 1;
 
-/// Stochastic per-datagram loss on one direction, applied after the
-/// deterministic index patterns (sim::LossPattern). Draws come from the
-/// link's per-repetition forked sim::Rng, so runs stay bit-identical
-/// across thread counts and shards.
+/// Per-datagram loss on one direction: datagrams dropped by index (the
+/// paper's deterministic drops, §3), then an optional stochastic kind. Draws
+/// come from the link's per-repetition forked sim::Rng, so runs stay
+/// bit-identical across thread counts and shards.
 struct LossModel {
   enum class Kind {
     kNone,            // no stochastic loss (the paper's setting)
     kBernoulli,       // independent per-datagram loss with probability `rate`
     kGilbertElliott,  // two-state bursty loss (good/bad Markov chain)
   };
+  /// 1-based indices of datagrams sent in this direction that are dropped
+  /// outright, before the stochastic kind is consulted (no draw).
+  std::vector<std::uint64_t> drop_indices;
   Kind kind = Kind::kNone;
   /// kBernoulli: independent drop probability.
   double rate = 0.0;
@@ -48,13 +55,21 @@ struct LossModel {
   double loss_good = 0.0;
   double loss_bad = 1.0;
 
-  bool IsDefault() const { return kind == Kind::kNone; }
+  bool IsDefault() const { return kind == Kind::kNone && drop_indices.empty(); }
   friend bool operator==(const LossModel& a, const LossModel& b) {
-    return a.kind == b.kind && a.rate == b.rate && a.p == b.p && a.r == b.r &&
+    return a.drop_indices == b.drop_indices && a.kind == b.kind && a.rate == b.rate &&
+           a.p == b.p && a.r == b.r &&
            a.loss_good == b.loss_good && a.loss_bad == b.loss_bad;
   }
   friend bool operator!=(const LossModel& a, const LossModel& b) { return !(a == b); }
 };
+
+/// The loss models of both directions, indexed by kUp/kDown.
+using LossModels = std::array<LossModel, 2>;
+
+inline bool IsDefault(const LossModels& models) {
+  return models[kUp].IsDefault() && models[kDown].IsDefault();
+}
 
 /// Bottleneck queueing discipline of one direction.
 struct QueueModel {
@@ -101,7 +116,7 @@ struct PathOverride {
 /// The complete emulation model of one bidirectional path, indexed by
 /// kUp/kDown. Default-constructed = the legacy symmetric pipe.
 struct LinkModel {
-  LossModel loss[2];
+  LossModels loss;
   QueueModel queue[2];
   PathOverride path[2];
 

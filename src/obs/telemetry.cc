@@ -8,10 +8,6 @@
 
 namespace quicer::obs {
 
-namespace detail {
-thread_local Registry* tls_registry = nullptr;
-}  // namespace detail
-
 namespace {
 
 constexpr std::array<CounterDesc, kCounterCount> kDescriptors = {{

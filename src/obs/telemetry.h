@@ -115,9 +115,11 @@ struct Registry {
 };
 
 namespace detail {
-// The single-branch disabled path: trivially (zero-) initialised so access
-// compiles to a raw TLS load — no per-access init guard.
-extern thread_local Registry* tls_registry;
+// The single-branch disabled path: constant-initialised in the header, so
+// every translation unit sees a variable without dynamic initialisation and
+// access compiles to a raw TLS load — no per-access init guard or TLS
+// wrapper call.
+inline thread_local Registry* tls_registry = nullptr;
 }  // namespace detail
 
 /// True after EnableProcess(); checked by coarse-grained code (the sweep

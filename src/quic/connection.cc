@@ -1,6 +1,7 @@
 #include "quic/connection.h"
 
 #include <algorithm>
+#include <array>
 #include <new>
 #include <utility>
 
@@ -33,6 +34,16 @@ void InsertSortedPn(std::vector<SpacePn>& pns, SpacePn key) {
   const auto it = std::lower_bound(pns.begin(), pns.end(), key);
   if (it != pns.end() && *it == key) return;
   pns.insert(it, key);
+}
+
+/// "PTO expired (space <name>)" as a literal, so a PTO builds no string.
+std::string_view PtoExpiredNote(PacketNumberSpace s) {
+  switch (s) {
+    case PacketNumberSpace::kInitial: return "PTO expired (space Initial)";
+    case PacketNumberSpace::kHandshake: return "PTO expired (space Handshake)";
+    case PacketNumberSpace::kAppData: return "PTO expired (space 1-RTT)";
+  }
+  return "PTO expired (space ?)";
 }
 
 /// Removes `key` from a sorted vector; returns whether it was present.
@@ -993,8 +1004,7 @@ void Connection::OnLossDetectionTimeout() {
   ++metrics_.pto_expirations;
   obs::Count(obs::kRecoveryPtoFired);
   RecordLossTimer(/*event_type=*/2, /*timer_type=*/1, pending_pto_space_, 0);
-  trace_.RecordNote(queue_.now(), "recovery",
-                    "PTO expired (space " + std::string(ToString(pending_pto_space_)) + ")");
+  trace_.RecordNote(queue_.now(), "recovery", PtoExpiredNote(pending_pto_space_));
   TouchPtoBase();
   SendProbes(pending_pto_space_);
   ++pto_count_;
@@ -1032,19 +1042,17 @@ void Connection::SendProbes(PacketNumberSpace s) {
   // Gather outstanding retransmittable data starting at the probed space and
   // continuing through later spaces — real stacks coalesce retransmitted
   // flights the same way they coalesced the originals. A cursor spreads the
-  // data across the 1-2 probe datagrams instead of duplicating it.
-  struct Chunk {
-    PacketNumberSpace space;
-    Frame frame;
-  };
-  std::vector<Chunk> outstanding;
+  // data across the 1-2 probe datagrams instead of duplicating it. The
+  // frames stay in the run arena; the reused scratch only points at them.
+  std::vector<ProbeChunk>& outstanding = probe_chunks_;
+  outstanding.clear();
   for (int idx = SpaceIndex(s); idx < kNumSpaces; ++idx) {
     const PacketNumberSpace os = static_cast<PacketNumberSpace>(idx);
     SpaceState& other = space(os);
     if (other.discarded) continue;
     if (os == PacketNumberSpace::kAppData && !has_one_rtt_send_keys_) continue;
-    for (const auto& frame : other.ledger.OutstandingRetransmittable()) {
-      outstanding.push_back(Chunk{os, frame});
+    for (const recovery::SentPacket& packet : other.ledger.unacked()) {
+      for (const Frame& frame : packet.retransmittable) outstanding.push_back({os, &frame});
     }
   }
 
@@ -1052,29 +1060,31 @@ void Connection::SendProbes(PacketNumberSpace s) {
       rtt_.has_sample() ? config_.probe_count_with_rtt : config_.probe_count_without_rtt;
   std::size_t cursor = 0;
   for (int i = 0; i < count; ++i) {
-    // Group this datagram's frames by space, preserving space order.
-    std::vector<std::vector<Frame>> by_space(kNumSpaces);
-    PacketNumberSpace first_space = s;
+    // Group this datagram's frames by space, preserving space order; each
+    // space's vector comes from the frame pool on first use.
+    std::array<std::vector<Frame>, kNumSpaces> by_space;
     std::size_t budget = kMaxDatagramSize - 120;
     bool any_data = false;
     while (cursor < outstanding.size()) {
-      const std::size_t size = quic::WireSize(outstanding[cursor].frame);
+      const Frame& frame = *outstanding[cursor].frame;
+      const std::size_t size = quic::WireSize(frame);
       if (size > budget) break;
       budget -= size;
-      if (!any_data) first_space = outstanding[cursor].space;
-      by_space[SpaceIndex(outstanding[cursor].space)].push_back(outstanding[cursor].frame);
+      std::vector<Frame>& frames = by_space[SpaceIndex(outstanding[cursor].space)];
+      if (frames.capacity() == 0) frames = AcquireFrameVec();
+      frames.push_back(frame);
       any_data = true;
       ++cursor;
     }
 
-    std::vector<Packet> packets;
+    std::vector<Packet> packets = AcquirePacketVec();
     bool ping_only = false;
     if (any_data) {
       for (int idx = 0; idx < kNumSpaces; ++idx) {
         if (by_space[idx].empty()) continue;
         const PacketNumberSpace os = static_cast<PacketNumberSpace>(idx);
-        for (std::uint64_t pn : space(os).ledger.OutstandingPns()) {
-          InsertSortedPn(probed_pns_, {os, pn});
+        for (const recovery::SentPacket& packet : space(os).ledger.unacked()) {
+          InsertSortedPn(probed_pns_, {os, packet.packet_number});
         }
         metrics_.retransmitted_frames += static_cast<int>(by_space[idx].size());
         packets.push_back(BuildPacket(os, std::move(by_space[idx])));
@@ -1082,17 +1092,20 @@ void Connection::SendProbes(PacketNumberSpace s) {
     } else if (config_.probe_with_data && !last_crypto_sent_[SpaceIndex(s)].empty()) {
       // §5 tuning: re-send the ClientHello (or last crypto flight) instead
       // of a PING so the server can recover state faster.
-      metrics_.retransmitted_frames +=
-          static_cast<int>(last_crypto_sent_[SpaceIndex(s)].size());
-      packets.push_back(BuildPacket(s, last_crypto_sent_[SpaceIndex(s)]));
+      const std::vector<Frame>& last = last_crypto_sent_[SpaceIndex(s)];
+      metrics_.retransmitted_frames += static_cast<int>(last.size());
+      std::vector<Frame> frames = AcquireFrameVec();
+      frames.assign(last.begin(), last.end());
+      packets.push_back(BuildPacket(s, std::move(frames)));
     } else {
-      packets.push_back(BuildPacket(s, {PingFrame{}}));
+      std::vector<Frame> frames = AcquireFrameVec();
+      frames.push_back(PingFrame{});
+      packets.push_back(BuildPacket(s, std::move(frames)));
       ping_only = true;
     }
 
     const PacketNumberSpace probe_space = packets.front().space;
     const std::uint64_t pn = packets.front().packet_number;
-    (void)first_space;
     // Clients pad Initial probe datagrams to 1200 B, which also refills an
     // amplification-blocked server's budget (Fig 5).
     const std::size_t pad =

@@ -439,6 +439,10 @@ class Connection {
   // the spurious-retransmit check stays a binary search.
   std::vector<std::pair<PacketNumberSpace, std::uint64_t>> ping_only_pns_;
   std::vector<std::pair<PacketNumberSpace, std::uint64_t>> probed_pns_;
+  // SendProbes scratch, kept for its capacity: the outstanding frames (in
+  // the run arena) to bundle into probes, with their space.
+  struct ProbeChunk { PacketNumberSpace space; const Frame* frame; };
+  std::vector<ProbeChunk> probe_chunks_;
   bool ping_drop_quirk_used_ = false;
 };
 

@@ -134,21 +134,6 @@ std::optional<sim::Time> SentPacketLedger::LastAckElicitingSentTime() const {
   return latest;
 }
 
-std::vector<quic::Frame> SentPacketLedger::OutstandingRetransmittable() const {
-  std::vector<quic::Frame> frames;
-  for (const SentPacket& packet : unacked_) {
-    frames.insert(frames.end(), packet.retransmittable.begin(), packet.retransmittable.end());
-  }
-  return frames;
-}
-
-std::vector<std::uint64_t> SentPacketLedger::OutstandingPns() const {
-  std::vector<std::uint64_t> pns;
-  pns.reserve(unacked_.size());
-  for (const SentPacket& packet : unacked_) pns.push_back(packet.packet_number);
-  return pns;
-}
-
 bool SentPacketLedger::IsOutstanding(std::uint64_t pn) const {
   return std::binary_search(
       unacked_.begin(), unacked_.end(), pn,

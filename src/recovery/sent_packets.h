@@ -101,12 +101,9 @@ class SentPacketLedger {
   /// Largest packet number acknowledged so far.
   std::optional<std::uint64_t> largest_acked() const { return largest_acked_; }
 
-  /// Unacked packets' retransmittable frames (oldest first) — used by PTO
-  /// probes that bundle outstanding data.
-  std::vector<quic::Frame> OutstandingRetransmittable() const;
-
-  /// Packet numbers still outstanding (ascending).
-  std::vector<std::uint64_t> OutstandingPns() const;
+  /// Packets still outstanding, ascending by packet number — PTO probes
+  /// bundle their retransmittable frames.
+  const std::vector<SentPacket>& unacked() const { return unacked_; }
 
   /// Discards the space entirely (key discard, RFC 9002 §6.4). In-flight
   /// bytes are released.

@@ -18,7 +18,8 @@ void Link::ApplyModel() {
     bandwidth_bps_[dir] = path.bandwidth_bps.value_or(config_.bandwidth_bps);
     one_way_delay_[dir] = path.one_way_delay.value_or(config_.one_way_delay);
     jitter_[dir] = path.jitter.value_or(config_.jitter);
-    loss_process_[dir] = netem::LossProcess(config_.model.loss[dir]);
+    scenario_loss_[dir].Reset(config_.loss[dir]);
+    path_loss_[dir].Reset(config_.model.loss[dir]);
     // Reset (not reassignment) so the deque keeps its allocated blocks.
     bottleneck_[dir].Reset(config_.model.queue[dir]);
   }
@@ -27,7 +28,6 @@ void Link::ApplyModel() {
 void Link::ResetForRun(const Config& config, Rng rng) {
   config_ = config;
   rng_ = rng;
-  loss_ = LossPattern();
   drop_hook_ = nullptr;
   ApplyModel();
   for (int dir : {netem::kUp, netem::kDown}) {
@@ -44,16 +44,16 @@ std::uint64_t Link::Send(Direction direction, std::size_t bytes, DeliverFn deliv
   ++stats.datagrams_sent;
   stats.bytes_sent += bytes;
 
-  if (loss_.ShouldDrop(direction, index, queue_.now(), rng_)) {
+  // The scenario stage decides first, then the path's own loss. An inert
+  // stage draws nothing, keeping the legacy RNG stream intact.
+  if (!scenario_loss_[dir].inert() && scenario_loss_[dir].ShouldDrop(index, rng_)) {
     ++stats.datagrams_dropped;
     ++stats.dropped_pattern;
     obs::Count(static_cast<obs::Counter>(obs::kNetemDropPatternUp + dir));
     if (drop_hook_) drop_hook_(direction, DropCause::kPattern, bytes);
     return index;
   }
-  // Stochastic loss layers after the deterministic patterns; an inert
-  // process draws nothing, keeping the legacy RNG stream intact.
-  if (!loss_process_[dir].inert() && loss_process_[dir].ShouldDrop(rng_)) {
+  if (!path_loss_[dir].inert() && path_loss_[dir].ShouldDrop(index, rng_)) {
     ++stats.datagrams_dropped;
     ++stats.dropped_stochastic;
     obs::Count(static_cast<obs::Counter>(obs::kNetemDropStochasticUp + dir));

@@ -2,17 +2,17 @@
 //
 // Mirrors the QUIC Interop Runner setup the paper uses: symmetric one-way
 // delay, a configurable bottleneck bandwidth (10 Mbit/s in all paper
-// experiments), and a deterministic datagram-loss pattern. Payloads are
-// opaque: the sender passes the datagram size plus a delivery closure, so the
-// link has no dependency on the QUIC layer.
+// experiments), and deterministic datagram loss. Payloads are opaque: the
+// sender passes the datagram size plus a delivery closure, so the link has
+// no dependency on the QUIC layer.
 //
-// The path is composed from netem models (Config::model): per-direction
-// stochastic loss (Bernoulli / Gilbert–Elliott) layered after the
-// deterministic patterns, a bounded FIFO bottleneck queue with tail-drop
-// AQM instead of the free transmitter-busy clock, and per-direction
-// overrides of bandwidth / one-way delay / jitter. The default model
-// reproduces the legacy symmetric pipe bit for bit — same arithmetic, same
-// RNG draws.
+// The path is composed from netem models: loss in two stages, the scenario's
+// (Config::loss, the paper's dropped datagram indices) before the path's
+// (Config::model.loss, Bernoulli / Gilbert–Elliott), a bounded FIFO
+// bottleneck queue with tail-drop AQM instead of the free transmitter-busy
+// clock, and per-direction overrides of bandwidth / one-way delay / jitter.
+// The default models reproduce the legacy symmetric pipe bit for bit —
+// same arithmetic, same RNG draws.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +47,9 @@ class Link {
     /// Uniform per-datagram extra delay in [0, jitter]; values above the
     /// inter-datagram spacing reorder deliveries (robustness testing).
     Duration jitter = 0;
+    /// Scenario-stage loss per direction (netem::kUp/kDown), checked before
+    /// the model's path loss; its drops count as DropCause::kPattern.
+    netem::LossModels loss;
     /// Emulation models; the default is the legacy symmetric pipe. Path
     /// overrides in the model replace the symmetric values above per
     /// direction.
@@ -59,8 +62,8 @@ class Link {
     std::uint64_t datagrams_delivered = 0;
     std::uint64_t bytes_sent = 0;
     /// Breakdown of datagrams_dropped by cause.
-    std::uint64_t dropped_pattern = 0;     // deterministic index patterns
-    std::uint64_t dropped_stochastic = 0;  // Bernoulli / Gilbert–Elliott
+    std::uint64_t dropped_pattern = 0;     // scenario stage (Config::loss)
+    std::uint64_t dropped_stochastic = 0;  // path stage (Config::model.loss)
     std::uint64_t dropped_queue = 0;       // bottleneck-queue AQM
     /// Bottleneck-queue occupancy high-water marks (0 under the legacy
     /// transmitter-clock model).
@@ -81,12 +84,9 @@ class Link {
   Link(EventQueue& queue, Config config, Rng rng);
 
   /// Rewinds the path to freshly-constructed state for context reuse between
-  /// repetitions: new config and rng, datagram indices restarted, stats and
-  /// queues emptied, loss pattern cleared (re-install via set_loss_pattern).
+  /// repetitions: new config and rng, datagram indices restarted, stats,
+  /// queues and loss processes re-armed, storage kept (no allocation).
   void ResetForRun(const Config& config, Rng rng);
-
-  /// Installs the loss pattern applied to subsequent sends.
-  void set_loss_pattern(LossPattern pattern) { loss_ = std::move(pattern); }
 
   /// Installs (or clears, with nullptr) the drop observer.
   void set_drop_hook(DropHook hook) { drop_hook_ = std::move(hook); }
@@ -121,14 +121,14 @@ class Link {
   EventQueue& queue_;
   Config config_;
   Rng rng_;
-  LossPattern loss_;
   DropHook drop_hook_;
   // Per-direction resolved path parameters (symmetric config with the
   // model's overrides applied).
   double bandwidth_bps_[2];
   Duration one_way_delay_[2];
   Duration jitter_[2];
-  netem::LossProcess loss_process_[2];
+  netem::LossProcess scenario_loss_[2];  // Config::loss
+  netem::LossProcess path_loss_[2];      // Config::model.loss
   netem::BottleneckQueue bottleneck_[2];
   // Earliest time the transmitter in each direction is free again; models the
   // bottleneck queue under the legacy transmitter-clock model.

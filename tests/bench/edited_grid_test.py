@@ -9,6 +9,10 @@ count and seed base, then requires:
   (b) `queue-init --grid` + `worker` + `collect` succeeds and its exports are
       byte-identical to (a)'s.
 
+A second grid gives fig06 a hand-authored loss that drops server datagrams
+2 and 3 next to the legacy "first-server-flight-tail" label. (b) must hold,
+and under IACK, whose flight tail *is* datagrams 2 and 3, both export alike.
+
 Usage: edited_grid_test.py PATH/TO/bench_suite
 """
 
@@ -36,6 +40,54 @@ def run(cmd, cwd, failures=None):
         failures.append(message)
         return None
     return proc.stdout
+
+
+def compare_queue_exports(suite, work, grid_path, sweeps, failures):
+    """(b): the queue path exports `sweeps` byte-identical to run --grid's."""
+    run([suite, "queue-init", "--queue=queue", "--grid=" + grid_path,
+         "--unit-runs=40"], work)
+    run([suite, "worker", "--queue=queue", "--threads=2", "--worker-id=edited",
+         "--no-wait"], work)
+    collected = run([suite, "collect", "--queue=queue", "--out-dir=queue-out"], work,
+                    failures)
+    for sweep in sorted(sweeps) if collected is not None else []:
+        for ext in ("csv", "json"):
+            name = "%s_sweep.%s" % (sweep, ext)
+            single = os.path.join(work, "grid-out", name)
+            queued = os.path.join(work, "queue-out", name)
+            if not os.path.exists(queued):
+                failures.append("%s: collect wrote no %s" % (sweep, name))
+            elif os.path.exists(single) and not filecmp.cmp(single, queued, shallow=False):
+                failures.append("%s: queue export %s differs from run --grid's"
+                                % (sweep, name))
+
+
+def check_drop_loss(suite, failures):
+    """fig06 with a hand-authored "drop" loss runs as data on both paths."""
+    with tempfile.TemporaryDirectory(prefix="drop_loss_") as work:
+        grid = json.loads(run([suite, "export-grid", "fig06"], work))
+        scenario = grid["scenarios"][0]
+        scenario["repetitions"] = 3
+        scenario["axes"]["losses"] = [{"label": "drop-2-3", "loss": {"down": {"drop": [3, 2]}}},
+                                      "first-server-flight-tail"]
+        grid_path = os.path.join(work, "drop.json")
+        with open(grid_path, "w") as out:
+            json.dump(grid, out, indent=2)
+
+        run([suite, "run", "--grid=" + grid_path, "--threads=2", "--data-dir=grid-out"], work)
+        with open(os.path.join(work, "grid-out", "fig06_sweep.json")) as handle:
+            points = json.load(handle)["points"]
+        cells = {(p["client"], p["behavior"], p["loss"]): p["metrics"] for p in points}
+        iack = [c for c, b, loss in cells if b == "IACK" and loss == "drop-2-3"]
+        if not iack:
+            failures.append("fig06 drop grid: no IACK point carries the 'drop-2-3' loss")
+        for client in iack:
+            if cells[(client, "IACK", "drop-2-3")] != \
+                    cells[(client, "IACK", "first-server-flight-tail")]:
+                failures.append("fig06 drop grid: %s/IACK drop [2, 3] differs from the "
+                                "first-server-flight-tail flight" % client)
+
+        compare_queue_exports(suite, work, grid_path, ["fig06"], failures)
 
 
 def main():
@@ -79,27 +131,14 @@ def main():
                                    reps, want))
 
         # (b) The work queue executes the same edited grid, byte for byte.
-        run([suite, "queue-init", "--queue=queue", "--grid=" + grid_path,
-             "--unit-runs=40"], work)
-        run([suite, "worker", "--queue=queue", "--threads=2", "--worker-id=edited",
-             "--no-wait"], work)
-        collected = run([suite, "collect", "--queue=queue", "--out-dir=queue-out"], work,
-                        failures)
-        for sweep in sorted(expected_reps) if collected is not None else []:
-            for ext in ("csv", "json"):
-                name = "%s_sweep.%s" % (sweep, ext)
-                single = os.path.join(work, "grid-out", name)
-                queued = os.path.join(work, "queue-out", name)
-                if not os.path.exists(queued):
-                    failures.append("%s: collect wrote no %s" % (sweep, name))
-                elif os.path.exists(single) and not filecmp.cmp(single, queued, shallow=False):
-                    failures.append("%s: queue export %s differs from run --grid's"
-                                    % (sweep, name))
+        compare_queue_exports(suite, work, grid_path, expected_reps, failures)
+
+    check_drop_loss(suite, failures)
 
     if failures:
         sys.exit("FAIL:\n  " + "\n  ".join(failures))
-    print("edited grid: %d sweeps ran as edited; queue exports match run --grid byte for byte"
-          % len(expected_reps))
+    print("edited grid: %d sweeps ran as edited, and fig06 with a hand-authored drop loss;"
+          " queue exports match run --grid byte for byte" % len(expected_reps))
 
 
 if __name__ == "__main__":

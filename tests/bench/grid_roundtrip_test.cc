@@ -6,6 +6,7 @@
 // runs exactly the compiled-in grid.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <string>
 #include <utility>
@@ -103,6 +104,22 @@ TEST(GridRoundTrip, MutatedAxisChangesTheContentHash) {
   core::SweepSpec mutated = *fig06;
   mutated.axes.rtts.push_back(sim::Millis(50));
   EXPECT_NE(core::ScenarioHash(mutated), core::ScenarioHash(*fig06));
+}
+
+TEST(SuiteBudget, ExhaustedBudgetExecutesNoRun) {
+  // A suite budget that ran out before the sweep started skips every point
+  // (it is not "unlimited"), however fast the runs are.
+  bench::BenchContext ctx;
+  ctx.budget_seconds = 1e-6;
+  ctx.suite_start = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+  core::SweepSpec spec;
+  spec.axes.rtts = {sim::Millis(1), sim::Millis(2), sim::Millis(3), sim::Millis(4)};
+  spec.repetitions = 1000;
+  spec.runner = [](const core::SweepRunContext&) { return std::vector<double>{1.0}; };
+  const core::SweepResult result = core::RunSweep(bench::TuneObserver(spec, ctx), 1);
+  EXPECT_GT(spec.time_budget_seconds, 0.0);
+  EXPECT_EQ(result.executed_runs, 0u);
+  for (const core::PointSummary& point : result.points) EXPECT_TRUE(point.budget_skipped);
 }
 
 }  // namespace

@@ -22,8 +22,7 @@ DeploymentScenario LargeCert() {
 
 TEST(Advisor, LargeCertAlwaysIack) {
   // Table 2 row (2): every column says IACK.
-  for (LossCase loss : {LossCase::kNoLoss, LossCase::kFirstServerFlightTail,
-                        LossCase::kSecondClientFlight}) {
+  for (LossCase loss : kLossCases) {
     for (sim::Duration delta : {sim::Millis(1), sim::Millis(500)}) {
       DeploymentScenario scenario = LargeCert();
       scenario.loss = loss;

@@ -22,9 +22,8 @@ TEST(Experiment, LinkStatsPopulated) {
 
 TEST(Experiment, TimeLimitRespected) {
   ExperimentConfig config;
-  sim::LossPattern pattern;
-  pattern.DropRandom(sim::Direction::kClientToServer, 1.0);
-  config.loss = pattern;
+  config.loss[netem::kUp].kind = netem::LossModel::Kind::kBernoulli;
+  config.loss[netem::kUp].rate = 1.0;
   config.time_limit = sim::Seconds(3);
   const ExperimentResult result = RunExperiment(config);
   EXPECT_FALSE(result.completed);

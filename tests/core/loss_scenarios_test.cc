@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace quicer::core {
 namespace {
+
+using Drops = std::vector<std::uint64_t>;
 
 TEST(LossScenarios, SmallCertFlightIsTwoDatagrams) {
   EXPECT_EQ(ServerFlightDatagrams(tls::kSmallCertificateBytes, http::Version::kHttp1), 2);
@@ -16,66 +20,57 @@ TEST(LossScenarios, LargeCertFlightIsLonger) {
 
 TEST(LossScenarios, Fig6WfcDropsDatagramTwo) {
   // "loss of packet 2 (WFC)" — the flight tail after the coalesced ACK+SH.
-  sim::Rng rng(1);
-  const auto pattern = FirstServerFlightTailLoss(quic::ServerBehavior::kWaitForCertificate,
-                                                 tls::kSmallCertificateBytes,
-                                                 http::Version::kHttp1);
-  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 1, rng));
-  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kServerToClient, 2, rng));
-  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 3, rng));
-  EXPECT_EQ(pattern.IndexedDropCount(sim::Direction::kServerToClient), 1u);
+  const netem::LossModels loss = FirstServerFlightTailLoss(
+      quic::ServerBehavior::kWaitForCertificate, tls::kSmallCertificateBytes,
+      http::Version::kHttp1);
+  EXPECT_EQ(loss[netem::kDown].drop_indices, (Drops{2}));
+  EXPECT_EQ(loss[netem::kDown].kind, netem::LossModel::Kind::kNone);
 }
 
 TEST(LossScenarios, Fig6IackDropsDatagramsTwoAndThree) {
-  // "loss of packets 2 and 3 (IACK)" — datagram 1 is the instant ACK.
-  sim::Rng rng(1);
-  const auto pattern = FirstServerFlightTailLoss(quic::ServerBehavior::kInstantAck,
-                                                 tls::kSmallCertificateBytes,
-                                                 http::Version::kHttp1);
-  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 1, rng));
-  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kServerToClient, 2, rng));
-  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kServerToClient, 3, rng));
-  EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kServerToClient, 4, rng));
+  // "loss of packets 2 and 3 (IACK)" — datagram 1 is the instant ACK; the
+  // client direction loses nothing.
+  const netem::LossModels loss = FirstServerFlightTailLoss(
+      quic::ServerBehavior::kInstantAck, tls::kSmallCertificateBytes, http::Version::kHttp1);
+  EXPECT_EQ(loss[netem::kDown].drop_indices, (Drops{2, 3}));
+  EXPECT_TRUE(loss[netem::kUp].IsDefault());
 }
 
 TEST(LossScenarios, SecondClientFlightFollowsTable4) {
-  sim::Rng rng(1);
   for (clients::ClientImpl impl : clients::kAllClients) {
-    const auto pattern = SecondClientFlightLoss(impl);
-    const int flight = clients::SecondFlightDatagrams(impl);
-    EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kClientToServer, 1, rng))
-        << clients::Name(impl) << ": the ClientHello must survive";
-    for (int i = 2; i <= 1 + flight; ++i) {
-      EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kClientToServer,
-                                     static_cast<std::uint64_t>(i), rng))
-          << clients::Name(impl) << " datagram " << i;
+    const netem::LossModels loss = SecondClientFlightLoss(impl);
+    // The ClientHello (datagram 1) survives; the flight is 2..1+flight.
+    Drops want;
+    for (int i = 2; i <= 1 + clients::SecondFlightDatagrams(impl); ++i) {
+      want.push_back(static_cast<std::uint64_t>(i));
     }
-    EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kClientToServer,
-                                    static_cast<std::uint64_t>(flight + 2), rng))
-        << clients::Name(impl);
+    EXPECT_EQ(loss[netem::kUp].drop_indices, want) << clients::Name(impl);
+    EXPECT_TRUE(loss[netem::kDown].IsDefault()) << clients::Name(impl);
   }
 }
 
-TEST(LossScenarios, QuicheSingleDatagramFlight) {
-  sim::Rng rng(1);
-  const auto pattern = SecondClientFlightLoss(clients::ClientImpl::kQuiche);
-  EXPECT_EQ(pattern.IndexedDropCount(sim::Direction::kClientToServer), 1u);
-  EXPECT_TRUE(pattern.ShouldDrop(sim::Direction::kClientToServer, 2, rng));
+TEST(LossScenarios, QuicheOneAndPicoquicFourDatagramFlights) {
+  EXPECT_EQ(SecondClientFlightLoss(clients::ClientImpl::kQuiche)[netem::kUp].drop_indices,
+            (Drops{2}));
+  EXPECT_EQ(SecondClientFlightLoss(clients::ClientImpl::kPicoquic)[netem::kUp].drop_indices,
+            (Drops{2, 3, 4, 5}));
 }
 
-TEST(LossScenarios, PicoquicFourDatagramFlight) {
-  const auto pattern = SecondClientFlightLoss(clients::ClientImpl::kPicoquic);
-  EXPECT_EQ(pattern.IndexedDropCount(sim::Direction::kClientToServer), 4u);
+TEST(LossScenarios, FlightLossResolvesAgainstTheConfig) {
+  ExperimentConfig config;
+  config.client = clients::ClientImpl::kPicoquic;
+  config.behavior = quic::ServerBehavior::kInstantAck;
+  EXPECT_TRUE(netem::IsDefault(FlightLoss(LossCase::kNoLoss, config)));
+  EXPECT_EQ(FlightLoss(LossCase::kFirstServerFlightTail, config),
+            FirstServerFlightTailLoss(config.behavior, config.certificate_bytes, config.http));
+  EXPECT_EQ(FlightLoss(LossCase::kSecondClientFlight, config),
+            SecondClientFlightLoss(config.client));
 }
 
-TEST(LossScenarios, ServerSideLossDoesNotTouchClientDirection) {
-  sim::Rng rng(1);
-  const auto pattern = FirstServerFlightTailLoss(quic::ServerBehavior::kInstantAck,
-                                                 tls::kSmallCertificateBytes,
-                                                 http::Version::kHttp1);
-  for (std::uint64_t i = 1; i <= 10; ++i) {
-    EXPECT_FALSE(pattern.ShouldDrop(sim::Direction::kClientToServer, i, rng));
-  }
+TEST(LossScenarios, FlightNamesRoundTrip) {
+  for (LossCase c : kLossCases) EXPECT_EQ(FlightFromName(FlightName(c)), c);
+  EXPECT_EQ(FlightName(LossCase::kFirstServerFlightTail), "first-server-flight-tail");
+  EXPECT_FALSE(FlightFromName("no loss").has_value());
 }
 
 }  // namespace

@@ -21,7 +21,9 @@
 
 #include <cstdlib>
 #include <new>
+#include <vector>
 
+#include "core/loss_scenarios.h"
 #include "obs/telemetry.h"
 
 namespace {
@@ -91,6 +93,36 @@ TEST(RunContextAlloc, RepeatedRepetitionsAreAllocationFree) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
       context.Run(QuietConfig(seed));
     }
+  }
+  EXPECT_EQ(scope.count(), 0u);
+}
+
+TEST(RunContextAlloc, LossyRepetitionsAreAllocationFree) {
+  // Scenario loss re-arms into storage the link keeps, and PTO probes use
+  // pooled vectors: flight-tail and Bernoulli runs, alternating, allocate
+  // nothing either. Configs are built before counting. Warm-up takes two
+  // passes: probes move pooled frame buffers between call sites, so pool
+  // capacities settle in the second.
+  std::vector<ExperimentConfig> configs;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    configs.push_back(QuietConfig(seed));
+    configs.back().loss = FirstServerFlightTailLoss(quic::ServerBehavior::kWaitForCertificate,
+                                                    tls::kSmallCertificateBytes,
+                                                    http::Version::kHttp1);
+    configs.push_back(QuietConfig(seed));
+    for (netem::LossModel& loss : configs.back().loss) {
+      loss.kind = netem::LossModel::Kind::kBernoulli;
+      loss.rate = 0.05;
+    }
+  }
+  RunContext context;
+  ASSERT_GT(context.Run(configs[0]).server_to_client.dropped_pattern, 0u);
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const ExperimentConfig& config : configs) context.Run(config);
+  }
+  AllocationScope scope;
+  for (int round = 0; round < 3; ++round) {
+    for (const ExperimentConfig& config : configs) context.Run(config);
   }
   EXPECT_EQ(scope.count(), 0u);
 }

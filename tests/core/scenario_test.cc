@@ -1,7 +1,8 @@
 // Scenario codec contract: canonical serialization round-trips byte for
 // byte, every validation failure carries an actionable path, labels resolve
-// against the live spec plus the builtin registries, and the content-hash
-// keeps partials of different grid definitions from merging.
+// against the live spec plus the builtins, legacy loss labels load as their
+// structural form, and the content-hash keeps partials of different grid
+// definitions from merging.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -22,8 +23,8 @@ std::string Replace(std::string text, const std::string& from, const std::string
 }
 
 /// A synthetic spec exercising every serializable dimension: first-class
-/// axes, function-valued losses/variants, extras, a multi-mode metric set
-/// and a custom runner.
+/// axes, base and axis losses, function-valued variants, extras, a
+/// multi-mode metric set and a custom runner.
 SweepSpec TestSpec() {
   SweepSpec spec;
   spec.name = "synthetic";
@@ -35,10 +36,11 @@ SweepSpec TestSpec() {
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
   spec.axes.rtts = {sim::Millis(1), sim::Millis(9.5)};
-  spec.axes.losses = {{"custom-loss", [](const ExperimentConfig&) {
-                         return sim::LossPattern().DropIndices(sim::Direction::kServerToClient,
-                                                               {2});
-                       }}};
+  spec.base.loss[netem::kUp].kind = netem::LossModel::Kind::kBernoulli;
+  spec.base.loss[netem::kUp].rate = 0.01;
+  SweepLoss custom{"custom-loss", LossCase::kNoLoss, {}};
+  custom.loss[netem::kDown].drop_indices = {2};
+  spec.axes.losses = {custom, {"tail", LossCase::kFirstServerFlightTail, {}}};
   spec.axes.variants = {
       {"tuned", [](ExperimentConfig& c) { c.pad_instant_ack = true; }}};
   spec.axes.extras = {{"day", {{"d0", 0}, {"d1", 1}}}};
@@ -94,8 +96,10 @@ TEST(ScenarioCodec, ParsePreservesExactValues) {
   ASSERT_EQ(s.rtts.size(), 2u);
   EXPECT_EQ(s.rtts[0], sim::Millis(1));
   EXPECT_EQ(s.rtts[1], sim::Millis(9.5));  // 9500 ticks, exactly
-  ASSERT_EQ(s.losses.size(), 1u);
-  EXPECT_EQ(s.losses[0], "custom-loss");
+  EXPECT_EQ(s.base.loss, TestSpec().base.loss);
+  ASSERT_EQ(s.losses.size(), 2u);
+  EXPECT_EQ(s.losses[0].entry.loss, TestSpec().axes.losses[0].loss);
+  EXPECT_EQ(s.losses[1].entry.flight, LossCase::kFirstServerFlightTail);
   ASSERT_EQ(s.variants.size(), 1u);
   EXPECT_EQ(s.variants[0], "tuned");
   ASSERT_EQ(s.extras.size(), 1u);
@@ -113,8 +117,6 @@ TEST(ScenarioCodec, ApplyResolvesFunctionsFromTheLiveSpec) {
   ASSERT_TRUE(scenarios.has_value()) << error;
   SweepSpec applied = TestSpec();
   ASSERT_TRUE(ApplyScenario(scenarios->front(), applied, &error)) << error;
-  ASSERT_EQ(applied.axes.losses.size(), 1u);
-  EXPECT_TRUE(static_cast<bool>(applied.axes.losses[0].make));
   ASSERT_EQ(applied.axes.variants.size(), 1u);
   ASSERT_TRUE(static_cast<bool>(applied.axes.variants[0].mutate));
   ExperimentConfig probe;
@@ -208,7 +210,7 @@ TEST(ScenarioCodec, UnknownLossLabelFailsApplyWithKnownList) {
       ParseScenarioFile(FileFor(TestSpec()), &error);
   ASSERT_TRUE(scenarios.has_value()) << error;
   Scenario scenario = scenarios->front();
-  scenario.losses = {"no-such-loss"};
+  scenario.losses = {{SweepLoss{"no-such-loss", LossCase::kNoLoss, {}}, /*by_label=*/true}};
   SweepSpec applied = TestSpec();
   EXPECT_FALSE(ApplyScenario(scenario, applied, &error));
   EXPECT_NE(error.find("no-such-loss"), std::string::npos) << error;
@@ -216,19 +218,84 @@ TEST(ScenarioCodec, UnknownLossLabelFailsApplyWithKnownList) {
   EXPECT_NE(error.find("first-server-flight-tail"), std::string::npos) << error;
 }
 
-TEST(ScenarioCodec, BuiltinLossesResolveWithoutAHostEntry) {
-  std::string error;
-  std::optional<std::vector<Scenario>> scenarios =
-      ParseScenarioFile(FileFor(TestSpec()), &error);
-  ASSERT_TRUE(scenarios.has_value()) << error;
-  Scenario scenario = scenarios->front();
-  scenario.losses = {"none", "first-server-flight-tail", "second-client-flight"};
+/// TestSpec's scenario file with its "losses" axis replaced by `losses`.
+std::string WithLosses(const std::string& losses) {
+  const std::string file = FileFor(TestSpec());
+  const std::size_t begin = file.find("\"losses\": [");
+  return file.substr(0, begin) + "\"losses\": " + losses + ",\n" +
+         file.substr(file.find("      \"variants\"", begin));
+}
+
+/// Parses `file` and applies it to a fresh TestSpec (nullopt on error).
+std::optional<SweepSpec> Applied(const std::string& file, std::string& error) {
+  const std::optional<std::vector<Scenario>> scenarios = ParseScenarioFile(file, &error);
   SweepSpec applied = TestSpec();
-  ASSERT_TRUE(ApplyScenario(scenario, applied, &error)) << error;
-  ASSERT_EQ(applied.axes.losses.size(), 3u);
-  EXPECT_FALSE(static_cast<bool>(applied.axes.losses[0].make));  // "none" keeps base
-  EXPECT_TRUE(static_cast<bool>(applied.axes.losses[1].make));
-  EXPECT_TRUE(static_cast<bool>(applied.axes.losses[2].make));
+  if (!scenarios || !ApplyScenario(scenarios->front(), applied, &error)) return std::nullopt;
+  return applied;
+}
+
+TEST(ScenarioCodec, LegacyLossLabelsLoadAsTheirStructuralForm) {
+  // Live-spec labels first ("custom-loss" takes the live entry's drops),
+  // then flight names.
+  std::string error;
+  const std::optional<SweepSpec> legacy = Applied(
+      WithLosses(R"(["none", "first-server-flight-tail", "second-client-flight", "custom-loss"])"),
+      error);
+  ASSERT_TRUE(legacy.has_value()) << error;
+  const std::optional<SweepSpec> structural = Applied(
+      WithLosses(R"([{"label": "none"},
+                     {"label": "first-server-flight-tail", "flight": "first-server-flight-tail"},
+                     {"label": "second-client-flight", "flight": "second-client-flight"},
+                     {"label": "custom-loss", "loss": {"down": {"drop": [2]}}}])"),
+      error);
+  ASSERT_TRUE(structural.has_value()) << error;
+  EXPECT_EQ(FileFor(*legacy), FileFor(*structural));
+  EXPECT_EQ(ScenarioHash(*legacy), ScenarioHash(*structural));
+}
+
+TEST(ScenarioCodec, StructuralLossesRoundTripToCanonicalBytes) {
+  // Unsorted, duplicated drops and "both" parse to the canonical form; the
+  // base "loss" field takes the same codec; writing a parse is a fixed point.
+  std::string error;
+  const std::optional<SweepSpec> applied = Applied(
+      WithLosses(R"([{"loss": {"both": {"bernoulli": {"rate": 0.05}, "drop": [4, 2, 4]}},
+                      "flight": "second-client-flight", "label": "mixed"}])"),
+      error);
+  ASSERT_TRUE(applied.has_value()) << error;
+  const std::string canonical = FileFor(*applied);
+  EXPECT_NE(canonical.find(R"({"label": "mixed", "flight": "second-client-flight", "loss": )"
+                           R"({"up": {"drop": [2, 4], "bernoulli": {"rate": 0.05}}, )"
+                           R"("down": {"drop": [2, 4], "bernoulli": {"rate": 0.05}}}})"),
+            std::string::npos)
+      << canonical;
+  EXPECT_NE(canonical.find(R"("loss": {"up": {"bernoulli": {"rate": 0.01}}})"),
+            std::string::npos);
+  const std::optional<SweepSpec> again = Applied(canonical, error);
+  ASSERT_TRUE(again.has_value()) << error;
+  EXPECT_EQ(FileFor(*again), canonical);
+}
+
+TEST(ScenarioCodec, BadLossEntriesRejectedWithTheirPath) {
+  const std::pair<std::string, std::string> cases[] = {
+      {R"([{"label": "x", "loss": {"down": {"drop": [0]}}}])", "losses[0].loss: down.drop[0]"},
+      {R"([{"label": "x", "loss": {"down": {"drop": [2, -1]}}}])", "losses[0].loss: down.drop[1]"},
+      {R"([{"label": "x", "loss": {"down": {"drop": [1.5]}}}])", "losses[0].loss: down.drop[0]"},
+      {R"([{"label": "x", "loss": {"down": {"drop": 3}}}])", "losses[0].loss: down.drop: "},
+      {R"([{"flight": "none"}])", "losses[0]: misses its 'label'"},
+      {R"([{"label": "x", "flight": "third"}])", "losses[0].flight: unknown flight"},
+      {R"([7])", "losses[0]: expected an object"},
+  };
+  for (const auto& [losses, path] : cases) {
+    std::string error;
+    EXPECT_FALSE(ParseScenarioFile(WithLosses(losses), &error).has_value()) << losses;
+    EXPECT_NE(error.find("scenarios[0].axes." + path), std::string::npos) << error;
+  }
+  std::string error;
+  EXPECT_FALSE(ParseScenarioFile(Replace(FileFor(TestSpec()), R"("bernoulli": {"rate": 0.01})",
+                                         R"("drop": [0])"),
+                                 &error)
+                   .has_value());
+  EXPECT_NE(error.find("scenarios[0].base.loss: up.drop[0]"), std::string::npos) << error;
 }
 
 TEST(ScenarioCodec, UnknownVariantFailsApply) {

@@ -30,9 +30,7 @@ SweepSpec RepresentativeSpec() {
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
   spec.axes.rtts = {sim::Millis(5), sim::Millis(20), sim::Millis(50)};
-  spec.axes.losses = {{"second-client-flight", [](const ExperimentConfig& c) {
-                         return SecondClientFlightLoss(c.client);
-                       }}};
+  spec.axes.losses = {{"second-client-flight", LossCase::kSecondClientFlight, {}}};
   spec.repetitions = 5;
   spec.metrics = {{"response_ttfb_ms", MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const ExperimentResult& r) { return r.ResponseTtfbMs(); }},

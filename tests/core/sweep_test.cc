@@ -94,8 +94,8 @@ TEST(Sweep, EnumerateCountMatchesEnumerate) {
 
   SweepSpec wide = SmallSpec();
   wide.axes.extras = {{"vantage", {{"A", 0}, {"B", 1}}}, {"day", {{"0", 0}, {"1", 1}}}};
-  wide.axes.losses.push_back(SweepLoss{"l1", nullptr});
-  wide.axes.losses.push_back(SweepLoss{"l2", nullptr});
+  wide.axes.losses.push_back(SweepLoss{"l1", LossCase::kNoLoss, {}});
+  wide.axes.losses.push_back(SweepLoss{"l2", LossCase::kSecondClientFlight, {}});
   wide.axes.variants.push_back(SweepVariant{});
   wide.axes.certificate_sizes = {2500, 5000, 10000};
   specs.push_back(wide);
@@ -128,9 +128,7 @@ TEST(Sweep, MedianMatchesCollectTtfbMs) {
 TEST(Sweep, DeterministicAcrossParallelismCaps) {
   SweepSpec spec = SmallSpec();
   // Per-client loss keyed off the resolved config exercises the loss axis.
-  spec.axes.losses = {{"second-client-flight", [](const ExperimentConfig& c) {
-                         return SecondClientFlightLoss(c.client);
-                       }}};
+  spec.axes.losses = {{"second-client-flight", LossCase::kSecondClientFlight, {}}};
   spec.metrics = {{"response_ttfb_ms", MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const ExperimentResult& r) { return r.ResponseTtfbMs(); }}};
 
@@ -265,11 +263,33 @@ TEST(Sweep, VariantsMutateConfig) {
   EXPECT_EQ(points[1].config.server_default_pto, sim::Millis(400));
 }
 
+TEST(Sweep, LossAxisResolvesFlightsAfterVariants) {
+  SweepSpec spec;
+  spec.base.loss[netem::kUp].drop_indices = {9};  // kept without a losses axis
+  spec.axes.variants = {
+      {"picoquic", [](ExperimentConfig& c) { c.client = clients::ClientImpl::kPicoquic; }}};
+  EXPECT_EQ(Enumerate(spec)[0].loss, "base");
+  EXPECT_EQ(Enumerate(spec)[0].config.loss, spec.base.loss);
+
+  // Axis entries replace base.loss; a flight's drops follow the variant's
+  // client and add to the entry's own models.
+  SweepLoss flight{"flight", LossCase::kSecondClientFlight, {}};
+  flight.loss[netem::kUp].drop_indices = {7};
+  spec.axes.losses = {{"none", LossCase::kNoLoss, {}}, flight};
+  const auto points = Enumerate(spec);
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_TRUE(netem::IsDefault(points[0].config.loss));
+  EXPECT_EQ(points[1].config.loss[netem::kUp].drop_indices,
+            (std::vector<std::uint64_t>{7, 2, 3, 4, 5}));  // picoquic: 4 datagrams
+  EXPECT_TRUE(points[1].config.loss[netem::kDown].IsDefault());
+}
+
 TEST(Sweep, CustomSeedScheduleMatchesLegacyLoop) {
   SweepSpec spec;
   spec.base.client = clients::ClientImpl::kQuicGo;
   spec.base.response_body_bytes = 4096;
-  spec.base.loss.DropRandom(sim::Direction::kServerToClient, 0.1);
+  spec.base.loss[netem::kDown].kind = netem::LossModel::Kind::kBernoulli;
+  spec.base.loss[netem::kDown].rate = 0.1;
   spec.repetitions = 8;
   spec.seed_base = 500;
   spec.seed_stride = 101;

@@ -121,6 +121,24 @@ TEST(LinkModelCodec, FullModelRoundTrips) {
       R"("path": {"up_bps": 1000000, "down_delay_ms": 40}})");
 }
 
+TEST(LinkModelCodec, DropListsRoundTripSortedAndDeduplicated) {
+  ExpectCanonical(R"({"loss": {"down": {"drop": [3, 2, 3]}}})",
+                  R"({"loss": {"down": {"drop": [2, 3]}}})");
+  // Drops sit next to a stochastic kind and are written first.
+  ExpectCanonical(R"({"loss": {"up": {"gilbert": {"p": 0.1, "r": 0.5}, "drop": [7]}}})",
+                  R"({"loss": {"up": {"drop": [7], "gilbert": {"p": 0.1, "r": 0.5}}}})");
+}
+
+TEST(LossModelsCodec, StandaloneModelsRoundTrip) {
+  EXPECT_EQ(LossModelsJson(LossModels{}), "{}");
+  const std::string json = R"({"up": {"bernoulli": {"rate": 0.1}}, "down": {"drop": [2, 3]}})";
+  LossModels parsed;
+  std::string error;
+  ASSERT_TRUE(ParseLossModels(core::JsonValue::Parse(json).value(), parsed, error)) << error;
+  EXPECT_EQ(parsed[kDown].drop_indices, (std::vector<std::uint64_t>{2, 3}));
+  EXPECT_EQ(LossModelsJson(parsed), json);
+}
+
 TEST(LinkModelCodec, RejectsInvalidDocuments) {
   struct Case {
     const char* text;
@@ -131,6 +149,12 @@ TEST(LinkModelCodec, RejectsInvalidDocuments) {
       {R"({"unknown": 1})", "unknown"},
       {R"({"loss": {"sideways": {}}})", "sideways"},
       {R"({"loss": {"up": {}}})", "loss.up"},
+      {R"({"loss": {"up": {"drop": [0]}}})", "loss.up.drop[0]: datagram indices are 1-based"},
+      {R"({"loss": {"up": {"drop": [1, -2]}}})", "loss.up.drop[1]: value -2 is outside"},
+      {R"({"loss": {"up": {"drop": [2.5]}}})", "loss.up.drop[0]: expected an integer"},
+      {R"({"loss": {"up": {"drop": 2}}})", "loss.up.drop: expected an array"},
+      {R"({"loss": {"up": {"bernoulli": {"rate": 0.1}, "gilbert": {"p": 0, "r": 0}}}})",
+       "at most one loss kind"},
       {R"({"loss": {"up": {"bernoulli": {"rate": 1.5}}}})", "rate"},
       {R"({"loss": {"up": {"bernoulli": {"rate": -0.1}}}})", "rate"},
       {R"({"loss": {"up": {"bernoulli": {}}}})", "rate"},

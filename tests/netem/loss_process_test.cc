@@ -29,10 +29,24 @@ TEST(LossProcess, DefaultIsInertAndConsumesNoDraws) {
   EXPECT_TRUE(process.inert());
   sim::Rng rng(7);
   sim::Rng untouched(7);
-  for (int i = 0; i < 100; ++i) EXPECT_FALSE(process.ShouldDrop(rng));
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(process.ShouldDrop(i + 1, rng));
   // The legacy byte-identity contract: an inert process leaves the RNG
   // stream exactly where it found it.
   EXPECT_EQ(rng.NextDouble(), untouched.NextDouble());
+}
+
+TEST(LossProcess, DropIndicesDropFirstAndDrawNothing) {
+  LossModel model = Bernoulli(0.5);
+  model.drop_indices = {2, 5};
+  LossProcess process(model);
+  sim::Rng rng(7);
+  sim::Rng untouched(7);
+  EXPECT_TRUE(process.ShouldDrop(2, rng) && process.ShouldDrop(5, rng));
+  EXPECT_EQ(rng.NextDouble(), untouched.NextDouble());
+  // Alone, a drop list drops exactly its indices; Reset re-arms.
+  model.kind = LossModel::Kind::kNone;
+  process.Reset(model);
+  for (std::uint64_t i = 1; i <= 6; ++i) EXPECT_EQ(process.ShouldDrop(i, rng), i % 3 == 2) << i;
 }
 
 TEST(LossProcess, BernoulliExtremesAreDeterministic) {
@@ -40,8 +54,8 @@ TEST(LossProcess, BernoulliExtremesAreDeterministic) {
   LossProcess always(Bernoulli(1.0));
   sim::Rng rng(7);
   for (int i = 0; i < 50; ++i) {
-    EXPECT_FALSE(never.ShouldDrop(rng));
-    EXPECT_TRUE(always.ShouldDrop(rng));
+    EXPECT_FALSE(never.ShouldDrop(i + 1, rng));
+    EXPECT_TRUE(always.ShouldDrop(i + 1, rng));
   }
 }
 
@@ -50,7 +64,7 @@ TEST(LossProcess, BernoulliRateMatchesEmpiricalFrequency) {
   sim::Rng rng(42);
   int drops = 0;
   const int n = 20000;
-  for (int i = 0; i < n; ++i) drops += process.ShouldDrop(rng) ? 1 : 0;
+  for (int i = 0; i < n; ++i) drops += process.ShouldDrop(i + 1, rng) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(drops) / n, 0.3, 0.02);
 }
 
@@ -60,7 +74,7 @@ TEST(LossProcess, SameSeedSameDecisions) {
   sim::Rng rng_a(123);
   sim::Rng rng_b(123);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(a.ShouldDrop(rng_a), b.ShouldDrop(rng_b)) << i;
+    EXPECT_EQ(a.ShouldDrop(i + 1, rng_a), b.ShouldDrop(i + 1, rng_b)) << i;
     EXPECT_EQ(a.in_bad_state(), b.in_bad_state()) << i;
   }
 }
@@ -75,7 +89,7 @@ TEST(LossProcess, GilbertStartsGoodAndClassicChannelDropsIffBad) {
   bool prev = false;
   for (int i = 0; i < 2000; ++i) {
     const bool was_bad = process.in_bad_state();
-    EXPECT_EQ(process.ShouldDrop(rng), was_bad) << i;
+    EXPECT_EQ(process.ShouldDrop(i + 1, rng), was_bad) << i;
     if (process.in_bad_state() != prev) ++transitions;
     prev = process.in_bad_state();
   }
@@ -91,7 +105,7 @@ TEST(LossProcess, GilbertProducesBursts) {
   std::vector<int> bursts;
   int run = 0;
   for (int i = 0; i < 50000; ++i) {
-    if (process.ShouldDrop(rng)) {
+    if (process.ShouldDrop(i + 1, rng)) {
       ++run;
     } else if (run > 0) {
       bursts.push_back(run);
@@ -110,16 +124,16 @@ TEST(LossProcess, GilbertStickyBadStateNeverRecovers) {
   // the first datagram.
   LossProcess process(Gilbert(1.0, 0.0));
   sim::Rng rng(7);
-  EXPECT_FALSE(process.ShouldDrop(rng));  // still good for its own fate
+  EXPECT_FALSE(process.ShouldDrop(1, rng));  // still good for its own fate
   EXPECT_TRUE(process.in_bad_state());
-  for (int i = 0; i < 100; ++i) EXPECT_TRUE(process.ShouldDrop(rng));
+  for (int i = 0; i < 100; ++i) EXPECT_TRUE(process.ShouldDrop(i + 1, rng));
 }
 
 TEST(LossProcess, GilbertLossyGoodState) {
   // A lossy good state (loss_good = 1) drops even before any transition.
   LossProcess process(Gilbert(0.0, 0.0, /*loss_good=*/1.0, /*loss_bad=*/1.0));
   sim::Rng rng(7);
-  EXPECT_TRUE(process.ShouldDrop(rng));
+  EXPECT_TRUE(process.ShouldDrop(1, rng));
   EXPECT_FALSE(process.in_bad_state());
 }
 

@@ -17,6 +17,13 @@ ExperimentConfig Robust(clients::ClientImpl impl = clients::ClientImpl::kQuicGo)
   return config;
 }
 
+netem::LossModel Bernoulli(double rate) {
+  netem::LossModel loss;
+  loss.kind = netem::LossModel::Kind::kBernoulli;
+  loss.rate = rate;
+  return loss;
+}
+
 TEST(FailureInjection, RandomLossBothDirectionsStillCompletes) {
   for (double rate : {0.05, 0.1, 0.2}) {
     int completed = 0;
@@ -26,10 +33,7 @@ TEST(FailureInjection, RandomLossBothDirectionsStillCompletes) {
       config.behavior =
           i % 2 == 0 ? quic::ServerBehavior::kInstantAck : quic::ServerBehavior::kWaitForCertificate;
       config.seed = 100 + static_cast<std::uint64_t>(i);
-      sim::LossPattern pattern;
-      pattern.DropRandom(sim::Direction::kClientToServer, rate);
-      pattern.DropRandom(sim::Direction::kServerToClient, rate);
-      config.loss = pattern;
+      config.loss = {Bernoulli(rate), Bernoulli(rate)};
       const ExperimentResult result = RunExperiment(config);
       if (result.completed) ++completed;
     }
@@ -41,9 +45,7 @@ TEST(FailureInjection, EveryClientSurvivesTenPercentLoss) {
   for (clients::ClientImpl impl : clients::kAllClients) {
     ExperimentConfig config = Robust(impl);
     config.behavior = quic::ServerBehavior::kInstantAck;
-    sim::LossPattern pattern;
-    pattern.DropRandom(sim::Direction::kServerToClient, 0.1);
-    config.loss = pattern;
+    config.loss[netem::kDown] = Bernoulli(0.1);
     config.seed = 7;
     const ExperimentResult result = RunExperiment(config);
     // quiche may abort via its CID quirk under retransmissions — a clean
@@ -90,9 +92,7 @@ TEST(FailureInjection, ZeroByteResponseBody) {
 
 TEST(FailureInjection, EverythingLostTimesOutCleanly) {
   ExperimentConfig config = Robust();
-  sim::LossPattern pattern;
-  pattern.DropRandom(sim::Direction::kServerToClient, 1.0);
-  config.loss = pattern;
+  config.loss[netem::kDown] = Bernoulli(1.0);
   config.time_limit = sim::Seconds(10);
   const ExperimentResult result = RunExperiment(config);
   EXPECT_FALSE(result.completed);
@@ -105,9 +105,7 @@ TEST(FailureInjection, EverythingLostTimesOutCleanly) {
 
 TEST(FailureInjection, LossOfClientHelloRecovers) {
   ExperimentConfig config = Robust();
-  sim::LossPattern pattern;
-  pattern.DropIndices(sim::Direction::kClientToServer, {1});
-  config.loss = pattern;
+  config.loss[netem::kUp].drop_indices = {1};
   const ExperimentResult result = RunExperiment(config);
   EXPECT_TRUE(result.completed);
   // Recovery needed the client's default PTO.
@@ -120,9 +118,7 @@ TEST(FailureInjection, LossOfInstantAckIsHarmless) {
   ExperimentConfig config = Robust();
   config.behavior = quic::ServerBehavior::kInstantAck;
   config.cert_fetch_delay = sim::Millis(30);
-  sim::LossPattern pattern;
-  pattern.DropIndices(sim::Direction::kServerToClient, {1});
-  config.loss = pattern;
+  config.loss[netem::kDown].drop_indices = {1};
   const ExperimentResult result = RunExperiment(config);
   EXPECT_TRUE(result.completed);
 }
@@ -130,10 +126,8 @@ TEST(FailureInjection, LossOfInstantAckIsHarmless) {
 TEST(FailureInjection, RepeatedLossOfServerFlightBacksOffExponentially) {
   ExperimentConfig config = Robust();
   config.behavior = quic::ServerBehavior::kInstantAck;
-  sim::LossPattern pattern;
   // Lose the flight and its first two retransmissions.
-  pattern.DropIndices(sim::Direction::kServerToClient, {2, 3, 4, 5, 6, 7});
-  config.loss = pattern;
+  config.loss[netem::kDown].drop_indices = {2, 3, 4, 5, 6, 7};
   const ExperimentResult result = RunExperiment(config);
   EXPECT_TRUE(result.completed);
   EXPECT_GT(result.server.pto_expirations, 1);

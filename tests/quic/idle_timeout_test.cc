@@ -8,10 +8,10 @@ namespace {
 TEST(IdleTimeout, DeadConnectionClosesAtDeadline) {
   ExperimentConfig config;
   config.rtt = sim::Millis(9);
-  sim::LossPattern pattern;
-  pattern.DropRandom(sim::Direction::kServerToClient, 1.0);
-  pattern.DropRandom(sim::Direction::kClientToServer, 1.0);
-  config.loss = pattern;
+  for (netem::LossModel& loss : config.loss) {
+    loss.kind = netem::LossModel::Kind::kBernoulli;
+    loss.rate = 1.0;
+  }
   quic::ConnectionConfig client = clients::MakeClientConfig(config.client, config.http);
   client.idle_timeout = sim::Seconds(5);
   config.client_config_override = client;
@@ -41,9 +41,8 @@ TEST(IdleTimeout, ActivityKeepsConnectionAlive) {
 TEST(IdleTimeout, ZeroDisablesTheTimer) {
   ExperimentConfig config;
   config.rtt = sim::Millis(9);
-  sim::LossPattern pattern;
-  pattern.DropRandom(sim::Direction::kServerToClient, 1.0);
-  config.loss = pattern;
+  config.loss[netem::kDown].kind = netem::LossModel::Kind::kBernoulli;
+  config.loss[netem::kDown].rate = 1.0;
   quic::ConnectionConfig client = clients::MakeClientConfig(config.client, config.http);
   client.idle_timeout = 0;
   config.client_config_override = client;

@@ -96,15 +96,15 @@ TEST(PersistentCongestion, DurationIsThreePtoPeriods) {
 TEST(PersistentCongestion, LongBlackoutTriggersDeclaration) {
   // Black out the path for 1.2 s mid-transfer: every packet and probe in
   // the window is lost, so the loss span far exceeds the persistent-
-  // congestion duration (3x PTO).
+  // congestion duration (3x PTO). The blackout is expressed as the datagram
+  // indices this run sends in [100 ms, 1300 ms): client->server 43..82,
+  // server->client 147..161.
   ExperimentConfig config;
   config.rtt = sim::Millis(10);
   config.response_body_bytes = 256 * 1024;
   config.time_limit = sim::Seconds(60);
-  sim::LossPattern pattern;
-  pattern.DropWindow(sim::Direction::kServerToClient, sim::Millis(100), sim::Millis(1300));
-  pattern.DropWindow(sim::Direction::kClientToServer, sim::Millis(100), sim::Millis(1300));
-  config.loss = pattern;
+  for (std::uint64_t i = 43; i <= 82; ++i) config.loss[netem::kUp].drop_indices.push_back(i);
+  for (std::uint64_t i = 147; i <= 161; ++i) config.loss[netem::kDown].drop_indices.push_back(i);
   bool declared = false;
   const ExperimentResult result = RunExperiment(
       config, [&](const quic::ClientConnection&, const quic::ServerConnection& server) {
@@ -114,6 +114,8 @@ TEST(PersistentCongestion, LongBlackoutTriggersDeclaration) {
       });
   EXPECT_TRUE(result.completed);
   EXPECT_TRUE(declared);
+  EXPECT_EQ(result.client_to_server.dropped_pattern, 40u);
+  EXPECT_EQ(result.server_to_client.dropped_pattern, 15u);
 }
 
 // ---------- HTTP/3 variants of the loss scenarios ----------

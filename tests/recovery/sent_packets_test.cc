@@ -126,16 +126,17 @@ TEST(SentPacketLedger, LastAckElicitingSentTime) {
   EXPECT_EQ(*ledger.LastAckElicitingSentTime(), sim::Millis(7));
 }
 
-TEST(SentPacketLedger, OutstandingRetransmittableCollectsFrames) {
+TEST(SentPacketLedger, UnackedKeepsRetransmittableFrames) {
   SentPacketLedger ledger;
   SentPacket packet = MakePacket(0, 0);
   // Backing storage stands in for the run arena; the ledger only sees spans.
   quic::Frame backing[] = {quic::CryptoFrame{0, 100, tls::MessageType::kClientHello}};
   packet.retransmittable = FrameSpan{backing, 1};
   ledger.OnPacketSent(std::move(packet));
-  const auto frames = ledger.OutstandingRetransmittable();
+  ASSERT_EQ(ledger.unacked().size(), 1u);
+  const FrameSpan& frames = ledger.unacked()[0].retransmittable;
   ASSERT_EQ(frames.size(), 1u);
-  EXPECT_TRUE(std::holds_alternative<quic::CryptoFrame>(frames[0]));
+  EXPECT_TRUE(std::holds_alternative<quic::CryptoFrame>(*frames.begin()));
 }
 
 TEST(SentPacketLedger, ClearReleasesEverything) {
@@ -148,13 +149,15 @@ TEST(SentPacketLedger, ClearReleasesEverything) {
   EXPECT_FALSE(ledger.HasAckElicitingInFlight());
 }
 
-TEST(SentPacketLedger, OutstandingPnsAscending) {
+TEST(SentPacketLedger, UnackedAscending) {
   SentPacketLedger ledger;
   ledger.OnPacketSent(MakePacket(2, 0));
   EXPECT_EQ(ledger.out_of_order_sends(), 0u);
   ledger.OnPacketSent(MakePacket(0, 0));
   ledger.OnPacketSent(MakePacket(1, 0));
-  EXPECT_EQ(ledger.OutstandingPns(), (std::vector<std::uint64_t>{0, 1, 2}));
+  std::vector<std::uint64_t> pns;
+  for (const SentPacket& packet : ledger.unacked()) pns.push_back(packet.packet_number);
+  EXPECT_EQ(pns, (std::vector<std::uint64_t>{0, 1, 2}));
   // Both late arrivals took the (counted) repair path.
   EXPECT_EQ(ledger.out_of_order_sends(), 2u);
 }

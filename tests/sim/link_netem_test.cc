@@ -98,18 +98,16 @@ TEST(LinkNetem, StochasticLossIsPerDirection) {
 }
 
 TEST(LinkNetem, StochasticLossAppliesAfterIndexPatterns) {
-  // A pattern-dropped datagram never reaches the stochastic stage: the drop
-  // lands in dropped_pattern and consumes no RNG draw, so the surviving
-  // datagrams see exactly the draws a bare LossProcess on the same seed
-  // would hand them.
+  // A datagram dropped by the scenario stage never reaches the path stage:
+  // the drop lands in dropped_pattern and consumes no RNG draw, so the
+  // surviving datagrams see exactly the draws a bare LossProcess on the
+  // same seed would hand them.
   Link::Config config = FastConfig();
   config.model.loss[netem::kUp] = Gilbert(0.3, 0.3);
+  config.loss[netem::kUp].drop_indices = {1};
 
   EventQueue queue;
   Link link(queue, config, Rng(42));
-  LossPattern pattern;
-  pattern.DropIndices(Direction::kClientToServer, {1});
-  link.set_loss_pattern(pattern);
   std::vector<int> delivered;
   for (int i = 1; i <= 200; ++i) {
     link.Send(Direction::kClientToServer, 1250, [&delivered, i] { delivered.push_back(i); });
@@ -123,7 +121,7 @@ TEST(LinkNetem, StochasticLossAppliesAfterIndexPatterns) {
   Rng rng(42);
   std::vector<int> reference;
   for (int i = 2; i <= 200; ++i) {
-    if (!process.ShouldDrop(rng)) reference.push_back(i);
+    if (!process.ShouldDrop(static_cast<std::uint64_t>(i), rng)) reference.push_back(i);
   }
   EXPECT_EQ(delivered, reference);
 }

@@ -62,10 +62,9 @@ TEST(Link, AssignsMonotonicPerDirectionIndices) {
 
 TEST(Link, IndexedLossDropsExactDatagram) {
   EventQueue queue;
-  Link link(queue, FastConfig(), Rng(1));
-  LossPattern pattern;
-  pattern.DropIndices(Direction::kClientToServer, {2});
-  link.set_loss_pattern(pattern);
+  Link::Config config = FastConfig();
+  config.loss[netem::kUp].drop_indices = {2};
+  Link link(queue, config, Rng(1));
   std::vector<int> delivered;
   for (int i = 1; i <= 3; ++i) {
     link.Send(Direction::kClientToServer, 100, [&delivered, i] { delivered.push_back(i); });
@@ -78,10 +77,9 @@ TEST(Link, IndexedLossDropsExactDatagram) {
 
 TEST(Link, DroppedDatagramStillConsumesIndex) {
   EventQueue queue;
-  Link link(queue, FastConfig(), Rng(1));
-  LossPattern pattern;
-  pattern.DropIndices(Direction::kServerToClient, {1});
-  link.set_loss_pattern(pattern);
+  Link::Config config = FastConfig();
+  config.loss[netem::kDown].drop_indices = {1};
+  Link link(queue, config, Rng(1));
   EXPECT_EQ(link.Send(Direction::kServerToClient, 100, [] {}), 1u);
   EXPECT_EQ(link.Send(Direction::kServerToClient, 100, [] {}), 2u);
 }

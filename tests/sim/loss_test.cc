@@ -1,77 +1,62 @@
+// The scenario loss stage of sim::Link (Config::loss): the paper's dropped
+// datagram indices per direction, optionally with Bernoulli loss, counted
+// as pattern drops.
 #include "sim/loss.h"
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "sim/link.h"
+
 namespace quicer::sim {
 namespace {
 
-TEST(LossPattern, DefaultDropsNothing) {
-  LossPattern pattern;
-  Rng rng(1);
-  EXPECT_TRUE(pattern.empty());
-  for (std::uint64_t i = 1; i <= 100; ++i) {
-    EXPECT_FALSE(pattern.ShouldDrop(Direction::kClientToServer, i, rng));
-    EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, i, rng));
+using netem::kDown;
+using netem::kUp;
+
+/// Sends `n` datagrams in `direction` and returns the delivered indices.
+std::vector<std::uint64_t> Delivered(const netem::LossModels& loss, Direction direction,
+                                     int n, std::uint64_t seed = 1) {
+  EventQueue queue;
+  Link::Config config;
+  config.loss = loss;
+  Link link(queue, config, Rng(seed));
+  std::vector<std::uint64_t> delivered;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t index = link.PeekNextIndex(direction);
+    link.Send(direction, 100, [&delivered, index] { delivered.push_back(index); });
   }
+  queue.RunUntilIdle();
+  EXPECT_EQ(link.stats(direction).dropped_pattern,
+            static_cast<std::uint64_t>(n) - delivered.size());
+  EXPECT_EQ(link.stats(direction).dropped_stochastic, 0u);
+  return delivered;
 }
 
-TEST(LossPattern, DropsConfiguredIndicesOnly) {
-  LossPattern pattern;
-  pattern.DropIndices(Direction::kServerToClient, {2, 3});
-  Rng rng(1);
-  EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, 1, rng));
-  EXPECT_TRUE(pattern.ShouldDrop(Direction::kServerToClient, 2, rng));
-  EXPECT_TRUE(pattern.ShouldDrop(Direction::kServerToClient, 3, rng));
-  EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, 4, rng));
+TEST(ScenarioLoss, DefaultDropsNothing) {
+  EXPECT_STREQ(ToString(Direction::kServerToClient), "server->client");
+  EXPECT_EQ(Delivered({}, Direction::kClientToServer, 100).size(), 100u);
+  EXPECT_EQ(Delivered({}, Direction::kServerToClient, 100).size(), 100u);
 }
 
-TEST(LossPattern, DirectionsAreIndependent) {
-  LossPattern pattern;
-  pattern.DropIndices(Direction::kClientToServer, {2});
-  Rng rng(1);
-  EXPECT_TRUE(pattern.ShouldDrop(Direction::kClientToServer, 2, rng));
-  EXPECT_FALSE(pattern.ShouldDrop(Direction::kServerToClient, 2, rng));
+TEST(ScenarioLoss, DropsConfiguredIndicesOfTheirDirectionOnly) {
+  netem::LossModels loss;
+  loss[kDown].drop_indices = {2, 3};
+  EXPECT_EQ(Delivered(loss, Direction::kServerToClient, 5),
+            (std::vector<std::uint64_t>{1, 4, 5}));
+  EXPECT_EQ(Delivered(loss, Direction::kClientToServer, 5).size(), 5u);
 }
 
-TEST(LossPattern, DropIndexRangeFromContainer) {
-  LossPattern pattern;
-  std::vector<int> indices{4, 5, 6};
-  pattern.DropIndexRange(Direction::kClientToServer, indices);
-  Rng rng(1);
-  for (int i : indices) {
-    EXPECT_TRUE(pattern.ShouldDrop(Direction::kClientToServer, static_cast<std::uint64_t>(i), rng));
-  }
-  EXPECT_EQ(pattern.IndexedDropCount(Direction::kClientToServer), 3u);
-  EXPECT_EQ(pattern.IndexedDropCount(Direction::kServerToClient), 0u);
-}
-
-TEST(LossPattern, RandomRateDropsApproximatelyThatShare) {
-  LossPattern pattern;
-  pattern.DropRandom(Direction::kClientToServer, 0.25);
-  Rng rng(99);
-  int drops = 0;
-  const int n = 100000;
-  for (int i = 1; i <= n; ++i) {
-    if (pattern.ShouldDrop(Direction::kClientToServer, static_cast<std::uint64_t>(i), rng)) {
-      ++drops;
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(drops) / n, 0.25, 0.01);
-}
-
-TEST(LossPattern, RandomRateZeroNeverDrops) {
-  LossPattern pattern;
-  pattern.DropRandom(Direction::kClientToServer, 0.0);
-  EXPECT_TRUE(pattern.empty());
-}
-
-TEST(LossPattern, IndexedAndRandomCombine) {
-  LossPattern pattern;
-  pattern.DropIndices(Direction::kClientToServer, {1});
-  pattern.DropRandom(Direction::kClientToServer, 0.0);
-  Rng rng(1);
-  EXPECT_TRUE(pattern.ShouldDrop(Direction::kClientToServer, 1, rng));
-  EXPECT_FALSE(pattern.ShouldDrop(Direction::kClientToServer, 2, rng));
+TEST(ScenarioLoss, BernoulliDropsCountAsPatternDrops) {
+  netem::LossModels loss;
+  loss[kUp].drop_indices = {1};
+  loss[kUp].kind = netem::LossModel::Kind::kBernoulli;
+  loss[kUp].rate = 0.25;
+  const int n = 20000;
+  const std::vector<std::uint64_t> delivered = Delivered(loss, Direction::kClientToServer, n, 99);
+  EXPECT_NE(delivered.front(), 1u);
+  EXPECT_NEAR(1.0 - static_cast<double>(delivered.size()) / n, 0.25, 0.01);
 }
 
 }  // namespace
