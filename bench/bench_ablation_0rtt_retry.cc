@@ -5,24 +5,24 @@
 #include "core/sweep.h"
 #include "registry.h"
 
-QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Retry") {
-  using namespace quicer;
-  core::PrintTitle("Ablation: instant ACK under 1-RTT, 0-RTT and Retry handshakes");
-  std::printf("(9 ms RTT, 10 KB transfer, delta_t = 25 ms)\n\n");
+namespace {
 
+using namespace quicer;
+
+constexpr core::HandshakeMode kModes[] = {core::HandshakeMode::k1Rtt, core::HandshakeMode::k0Rtt,
+                                          core::HandshakeMode::kRetry};
+
+std::vector<core::SweepSpec> Specs(int scale) {
   core::SweepSpec spec;
   spec.name = "ablation_0rtt_retry";
   spec.base.client = clients::ClientImpl::kQuicGo;
   spec.base.rtt = sim::Millis(9);
   spec.base.cert_fetch_delay = sim::Millis(25);
   spec.base.response_body_bytes = http::kSmallFileBytes;
-  spec.axes.modes = {core::HandshakeMode::k1Rtt, core::HandshakeMode::k0Rtt,
-                     core::HandshakeMode::kRetry};
+  spec.axes.modes.assign(std::begin(kModes), std::end(kModes));
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
-  spec.repetitions = bench::kRepetitions;
-  bench::Tune(spec, ctx);
-  const core::SweepResult ttfb = core::RunSweep(spec);
+  spec.repetitions = bench::kRepetitions * scale;
 
   core::SweepSpec pto_spec = spec;
   pto_spec.name = "ablation_0rtt_retry_pto";
@@ -31,7 +31,6 @@ QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Ret
                        [](const core::ExperimentResult& r) {
                          return sim::ToMillis(r.client.first_pto_period);
                        }}};
-  const core::SweepResult first_pto = core::RunSweep(pto_spec);
 
   // Retry as the client's first RTT estimate, Δt = 100 ms, WFC only: the
   // retry-sample flag is not a first-class axis, so it sweeps as a variant.
@@ -45,14 +44,19 @@ QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Ret
       {"retry-rtt-sample", [](core::ExperimentConfig& c) { c.client_use_retry_rtt_sample = true; }},
       {"no-retry-rtt-sample",
        [](core::ExperimentConfig& c) { c.client_use_retry_rtt_sample = false; }}};
-  retry_spec.repetitions = bench::kRepetitions;
-  bench::Tune(retry_spec, ctx);
-  const core::SweepResult retry = core::RunSweep(retry_spec);
-  if (bench::AnyPartialExported({&ttfb, &first_pto, &retry})) return 0;
+  retry_spec.repetitions = bench::kRepetitions * scale;
+  return {spec, pto_spec, retry_spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  const core::SweepResult& ttfb = results[0];
+  const core::SweepResult& first_pto = results[1];
+  const core::SweepResult& retry = results[2];
+  core::PrintTitle("Ablation: instant ACK under 1-RTT, 0-RTT and Retry handshakes");
+  std::printf("(9 ms RTT, 10 KB transfer, delta_t = 25 ms)\n\n");
   std::printf("%10s  %12s  %12s  %16s  %16s\n", "handshake", "WFC TTFB", "IACK TTFB",
               "WFC 1st PTO", "IACK 1st PTO");
-  for (core::HandshakeMode mode : spec.axes.modes) {
+  for (core::HandshakeMode mode : kModes) {
     auto median = [&](const core::SweepResult& result, quic::ServerBehavior behavior) {
       const core::PointSummary* cell = result.Find([&](const core::SweepPoint& p) {
         return p.config.mode == mode && p.config.behavior == behavior;
@@ -80,8 +84,9 @@ QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Ret
               "benefit; a Retry costs ~1 RTT but validates the address (no amplification\n"
               "blocking) and can seed an accurate first RTT estimate, after which the\n"
               "instant ACK still reduces the RTT variance (paper §5).\n");
-  core::MaybeWriteSweepData(ttfb);
-  core::MaybeWriteSweepData(first_pto);
-  core::MaybeWriteSweepData(retry);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("ablation_0rtt_retry", "Ablation: instant ACK under 1-RTT/0-RTT/Retry", Specs,
+             Report);

@@ -35,12 +35,8 @@ constexpr StrategyCase kCases[] = {
 };
 constexpr int kCaseCount = 5;
 
-}  // namespace
-
-QUICER_BENCH("ablation_ackdelay_strategies",
-             "Appendix D: ACK Delay client strategies vs instant ACK (model)") {
-  core::PrintTitle("Appendix D ablation: ACK Delay vs instant ACK, and Section 5 tuning");
-
+// Closed-form model sweep: --scale leaves the grid alone.
+std::vector<core::SweepSpec> StrategySpecs(int /*scale*/) {
   core::SweepSpec spec;
   spec.name = "ablation_ackdelay_strategies";
   spec.base.rtt = sim::Millis(9);
@@ -67,25 +63,23 @@ QUICER_BENCH("ablation_ackdelay_strategies",
                                sim::ToMillis(result.first_pto_iack),
                                result.clamped_to_min_rtt ? 1.0 : 0.0};
   };
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
+void StrategyReport(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Appendix D ablation: ACK Delay vs instant ACK, and Section 5 tuning");
   core::PrintHeading("First-PTO by strategy (RTT 9 ms, delta_t 4 ms)");
   std::printf("%22s  %18s  %18s  %10s\n", "reported ACK Delay", "WFC first PTO [ms]",
               "IACK first PTO [ms]", "clamped");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : results[0].points) {
     std::printf("%22s  %18.1f  %18.1f  %10s\n", summary.point.Extra("case")->label.c_str(),
                 summary.Metric("first_pto_wfc_ms")->summary.mean(),
                 summary.Metric("first_pto_iack_ms")->summary.mean(),
                 summary.Metric("clamped")->summary.mean() > 0 ? "yes" : "no");
   }
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
 
-QUICER_BENCH("ablation_ackdelay_tuning",
-             "Section 5 tuning: padded instant ACK, ClientHello probes") {
+std::vector<core::SweepSpec> TuningSpecs(int scale) {
   core::SweepSpec spec;
   spec.name = "ablation_ackdelay_tuning";
   spec.base.client = clients::ClientImpl::kNgtcp2;
@@ -100,19 +94,25 @@ QUICER_BENCH("ablation_ackdelay_tuning",
        [](core::ExperimentConfig& c) { c.pad_instant_ack = true; }},
       {"client probes resend ClientHello",
        [](core::ExperimentConfig& c) { c.client_probe_with_data = true; }}};
-  spec.repetitions = 15;
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  spec.repetitions = 15 * scale;
+  return {spec};
+}
 
+void TuningReport(const std::vector<core::SweepResult>& results) {
   core::PrintHeading("Section 5 tuning knobs (large cert, delta_t 200 ms, 9 ms RTT, IACK)");
   std::printf("%34s  %12s\n", "variant", "TTFB [ms]");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : results[0].points) {
     std::printf("%34s  %12.1f\n", summary.point.variant.c_str(), summary.MedianOrNegative());
   }
   std::printf("\nA padded instant ACK spends 1200 B of the 3x budget, which can delay the\n"
               "flight (the paper's caution); ClientHello-retransmitting probes help the\n"
               "server rebuild state faster after loss.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("ablation_ackdelay_strategies",
+             "Appendix D: ACK Delay client strategies vs instant ACK (model)", StrategySpecs,
+             StrategyReport);
+QUICER_BENCH("ablation_ackdelay_tuning", "Section 5 tuning: padded instant ACK, ClientHello probes",
+             TuningSpecs, TuningReport);

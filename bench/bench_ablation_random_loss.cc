@@ -29,24 +29,21 @@ core::SweepLoss RandomLoss(const char* label, double rate, sim::Direction direct
   return loss;
 }
 
-}  // namespace
+constexpr double kRates[] = {0.01, 0.05, 0.10, 0.20};
 
-QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IACK)") {
-  core::PrintTitle("Ablation: stochastic loss (the modelling the paper argues against)");
+struct Section {
+  const char* title;
+  const char* label;
+  sim::Direction direction;
+  bool both;
+};
+constexpr Section kSections[] = {
+    {"random loss server->client", "s->c", sim::Direction::kServerToClient, false},
+    {"random loss client->server", "c->s", sim::Direction::kClientToServer, false},
+    {"random loss both directions", "both", sim::Direction::kClientToServer, true},
+};
 
-  const double kRates[] = {0.01, 0.05, 0.10, 0.20};
-  struct Section {
-    const char* title;
-    const char* label;
-    sim::Direction direction;
-    bool both;
-  };
-  const Section kSections[] = {
-      {"random loss server->client", "s->c", sim::Direction::kServerToClient, false},
-      {"random loss client->server", "c->s", sim::Direction::kClientToServer, false},
-      {"random loss both directions", "both", sim::Direction::kClientToServer, true},
-  };
-
+std::vector<core::SweepSpec> Specs(int scale) {
   core::SweepSpec spec;
   spec.name = "ablation_random_loss";
   spec.base.client = clients::ClientImpl::kQuicGo;
@@ -61,7 +58,7 @@ QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IA
                                             section.both));
     }
   }
-  spec.repetitions = 60;
+  spec.repetitions = 60 * scale;
   // The legacy loop's seed schedule (500 + i * 101), completed-only.
   spec.seed_base = 500;
   spec.seed_stride = 101;
@@ -69,10 +66,11 @@ QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IA
                    [](const core::ExperimentResult& r) {
                      return r.completed ? r.TtfbMs() : -1.0;
                    }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Ablation: stochastic loss (the modelling the paper argues against)");
   for (const Section& section : kSections) {
     core::PrintHeading(section.title);
     std::printf("%10s  %22s  %22s\n", "loss rate", "WFC med/p90 [ms]", "IACK med/p90 [ms]");
@@ -80,7 +78,7 @@ QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IA
       char label[64];
       std::snprintf(label, sizeof(label), "%s %.0f%%", section.label, rate * 100);
       auto cell = [&](quic::ServerBehavior behavior) {
-        return result.Find([&](const core::SweepPoint& p) {
+        return results[0].Find([&](const core::SweepPoint& p) {
           return p.loss == label && p.config.behavior == behavior;
         });
       };
@@ -96,6 +94,9 @@ QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IA
   std::printf("\nShape check: under random loss the WFC/IACK medians blur together — the\n"
               "per-flight deterministic scenarios (Fig 6/7) are what isolate the instant\n"
               "ACK's distinct help/harm mechanisms.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("ablation_random_loss", "Ablation: stochastic loss rates (WFC vs IACK)", Specs,
+             Report);

@@ -12,12 +12,19 @@
 #include "core/sweep.h"
 #include "registry.h"
 
-QUICER_BENCH("ablation_server_pto", "Ablation: server default PTO trade-off") {
-  using namespace quicer;
-  core::PrintTitle("Ablation: server default PTO trade-off (IACK, 9 ms RTT)");
+namespace {
 
-  const double kPtos[] = {25.0, 50.0, 100.0, 200.0, 400.0, 999.0};
+using namespace quicer;
 
+constexpr double kPtos[] = {25.0, 50.0, 100.0, 200.0, 400.0, 999.0};
+
+std::string PtoLabel(double pto_ms) {
+  char label[32];
+  std::snprintf(label, sizeof(label), "pto=%.0f", pto_ms);
+  return label;
+}
+
+std::vector<core::SweepSpec> Specs(int scale) {
   core::SweepSpec spec;
   spec.name = "ablation_server_pto";
   spec.base.client = clients::ClientImpl::kQuicGo;
@@ -25,17 +32,14 @@ QUICER_BENCH("ablation_server_pto", "Ablation: server default PTO trade-off") {
   spec.base.rtt = sim::Millis(9);
   spec.base.response_body_bytes = http::kSmallFileBytes;
   for (double pto_ms : kPtos) {
-    char label[32];
-    std::snprintf(label, sizeof(label), "pto=%.0f", pto_ms);
-    spec.axes.variants.push_back(
-        {label, [pto_ms](core::ExperimentConfig& c) { c.server_default_pto = sim::Millis(pto_ms); }});
+    spec.axes.variants.push_back({PtoLabel(pto_ms), [pto_ms](core::ExperimentConfig& c) {
+                                    c.server_default_pto = sim::Millis(pto_ms);
+                                  }});
   }
   spec.axes.losses = {
       {"first-server-flight-tail", core::LossCase::kFirstServerFlightTail, {}},
       {"none", core::LossCase::kNoLoss, {}}};
-  spec.repetitions = bench::kRepetitions;
-  bench::Tune(spec, ctx);
-  const core::SweepResult ttfb = core::RunSweep(spec);
+  spec.repetitions = bench::kRepetitions * scale;
 
   core::SweepSpec spurious_spec = spec;
   spurious_spec.name = "ablation_server_pto_spurious";
@@ -46,14 +50,17 @@ QUICER_BENCH("ablation_server_pto", "Ablation: server default PTO trade-off") {
          return static_cast<double>(r.client.spurious_retransmits +
                                     r.server.spurious_retransmits);
        }}};
-  const core::SweepResult spurious = core::RunSweep(spurious_spec);
-  if (bench::AnyPartialExported({&ttfb, &spurious})) return 0;
+  return {spec, spurious_spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  const core::SweepResult& ttfb = results[0];
+  const core::SweepResult& spurious = results[1];
+  core::PrintTitle("Ablation: server default PTO trade-off (IACK, 9 ms RTT)");
   std::printf("%16s  %22s  %22s  %10s\n", "server PTO [ms]", "TTFB, flight lost [ms]",
               "TTFB, no loss [ms]", "spurious");
   for (double pto_ms : kPtos) {
-    char label[32];
-    std::snprintf(label, sizeof(label), "pto=%.0f", pto_ms);
+    const std::string label = PtoLabel(pto_ms);
     auto cell = [&](const core::SweepResult& result, const char* loss) {
       return result.Find([&](const core::SweepPoint& p) {
         return p.variant == label && p.loss == loss;
@@ -68,7 +75,8 @@ QUICER_BENCH("ablation_server_pto", "Ablation: server default PTO trade-off") {
   std::printf("\nShape check: lowering the default PTO speeds up recovery roughly linearly\n"
               "(the Fig 6 penalty tracks the default PTO) until it under-runs the true RTT\n"
               "and spurious retransmissions appear.\n");
-  core::MaybeWriteSweepData(ttfb);
-  core::MaybeWriteSweepData(spurious);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("ablation_server_pto", "Ablation: server default PTO trade-off", Specs, Report);

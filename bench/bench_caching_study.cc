@@ -104,31 +104,32 @@ CacheOutcome SimulateCluster(const ClusterKey& key) {
 
 double Share(const core::PointSummary& summary) { return summary.values().mean(); }
 
-}  // namespace
+// Sensitivity axes around the base cluster: a capacity below the domain
+// count forces LRU evictions of the cold domains; shorter/longer TTLs
+// shift how much organic load a domain needs to stay hot; fewer machines
+// behind the VIP make every stream (organic and probes) far more likely
+// to land on a warm machine; faster probing warms machines on its own.
+core::SweepExtraAxis Capacities() {
+  return {"cache_capacity", {{"2", 2}, {"4", 4}, {"65536", kBaseCapacity}}};
+}
+core::SweepExtraAxis Ttls() {
+  return {"cache_ttl_s", {{"60s", 60}, {"300s", kBaseTtlSeconds}, {"900s", 900}}};
+}
+core::SweepExtraAxis Frontends() {
+  return {"frontends_per_cluster", {{"64", 64}, {"4096", kBaseFrontends}, {"16384", 16384}}};
+}
+core::SweepExtraAxis ProbeRates() {
+  return {"probe_per_min", {{"1/min", kBaseProbePerMin}, {"60/min", 60}}};
+}
 
-QUICER_BENCH("caching_study", "Cloudflare certificate caching by domain popularity") {
-  core::PrintTitle("Cloudflare certificate caching by domain popularity (Fig 9 context)");
-
+// One cluster simulation per key: --scale leaves the grid alone.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
   core::SweepSpec spec;
   spec.name = "caching_study";
-  // Sensitivity axes around the base cluster: a capacity below the domain
-  // count forces LRU evictions of the cold domains; shorter/longer TTLs
-  // shift how much organic load a domain needs to stay hot; fewer machines
-  // behind the VIP make every stream (organic and probes) far more likely
-  // to land on a warm machine; faster probing warms machines on its own.
-  core::SweepExtraAxis capacities{"cache_capacity",
-                                  {{"2", 2}, {"4", 4}, {"65536", kBaseCapacity}}};
-  core::SweepExtraAxis ttls{"cache_ttl_s",
-                            {{"60s", 60}, {"300s", kBaseTtlSeconds}, {"900s", 900}}};
-  core::SweepExtraAxis frontends{
-      "frontends_per_cluster",
-      {{"64", 64}, {"4096", kBaseFrontends}, {"16384", 16384}}};
-  core::SweepExtraAxis probe_rates{"probe_per_min",
-                                   {{"1/min", kBaseProbePerMin}, {"60/min", 60}}};
   core::SweepExtraAxis domains;
   domains.name = "domain";
   for (int d = 0; d < kDomainCount; ++d) domains.values.push_back({kDomains[d].name, d});
-  spec.axes.extras = {capacities, ttls, frontends, probe_rates, domains};
+  spec.axes.extras = {Capacities(), Ttls(), Frontends(), ProbeRates(), domains};
   spec.repetitions = 1;
   spec.metrics = {
       {"coalesced_share_pct", core::MetricMode::kSummary, /*exclude_negative=*/false, nullptr}};
@@ -146,9 +147,16 @@ QUICER_BENCH("caching_study", "Cloudflare certificate caching by domain populari
         const auto d = static_cast<std::size_t>(run.point.Extra("domain")->value);
         return std::vector<double>{100.0 * outcome.probe_hits[d] / outcome.probe_total[d]};
       });
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
+
+void Report(const std::vector<core::SweepResult>& results) {
+  const core::SweepResult& result = results[0];
+  const core::SweepExtraAxis capacities = Capacities();
+  const core::SweepExtraAxis ttls = Ttls();
+  const core::SweepExtraAxis frontends = Frontends();
+  const core::SweepExtraAxis probe_rates = ProbeRates();
+  core::PrintTitle("Cloudflare certificate caching by domain popularity (Fig 9 context)");
 
   auto cell = [&](std::int64_t capacity, std::int64_t ttl_s, std::int64_t machines,
                   std::int64_t probe_rate, int domain) {
@@ -217,6 +225,9 @@ QUICER_BENCH("caching_study", "Cloudflare certificate caching by domain populari
               "traffic on fewer machines, so even cold domains warm up; on large\n"
               "clusters only a fast probe stream lifts its own hit share (the paper's\n"
               "60/min observation), and popular domains stay hot regardless.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("caching_study", "Cloudflare certificate caching by domain popularity", Specs,
+             Report);

@@ -16,11 +16,8 @@ using namespace quicer;
 
 constexpr int kAckCount = 50;
 
-}  // namespace
-
-QUICER_BENCH("fig02", "Figure 2: PTO evolution, WFC vs IACK (numerical model)") {
-  core::PrintTitle("Figure 2: PTO evolution, WFC vs IACK (numerical model)");
-
+// The repetition index is the ACK number, so --scale leaves the grid alone.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
   core::SweepSpec spec;
   spec.name = "fig02";
   spec.base.cert_fetch_delay = sim::Millis(4);
@@ -39,11 +36,12 @@ QUICER_BENCH("fig02", "Figure 2: PTO evolution, WFC vs IACK (numerical model)") 
     return std::vector<double>{sim::ToMillis(point.pto_wfc), sim::ToMillis(point.pto_iack),
                                sim::ToMillis(point.pto_wfc - point.pto_iack)};
   };
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
-  for (const core::PointSummary& summary : result.points) {
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Figure 2: PTO evolution, WFC vs IACK (numerical model)");
+  for (const core::PointSummary& summary : results[0].points) {
     const sim::Duration delta = summary.point.config.cert_fetch_delay;
     core::PrintHeading("Client-Frontend RTT " + core::FormatMs(summary.point.config.rtt) +
                        " ms, delta_t " + core::FormatMs(delta) + " ms");
@@ -60,6 +58,8 @@ QUICER_BENCH("fig02", "Figure 2: PTO evolution, WFC vs IACK (numerical model)") 
     std::printf("first-PTO improvement: %.2f ms (expected 3 x delta_t = %.2f ms)\n",
                 reduction.front(), 3 * sim::ToMillis(delta));
   }
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig02", "Figure 2: PTO evolution, WFC vs IACK (numerical model)", Specs, Report);

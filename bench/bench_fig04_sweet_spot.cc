@@ -10,10 +10,12 @@
 #include "core/pto_model.h"
 #include "registry.h"
 
-QUICER_BENCH("fig04", "Figure 4: first-PTO reduction and spurious-retransmit zone (model)") {
-  using namespace quicer;
-  core::PrintTitle("Figure 4: first-PTO reduction [RTT] and spurious-retransmit zone");
+namespace {
 
+using namespace quicer;
+
+// Closed-form model sweeps: --scale changes nothing in either grid.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
   core::SweepSpec spec;
   spec.name = "fig04";
   for (int rtt_ms = 1; rtt_ms <= 100; rtt_ms += (rtt_ms < 10 ? 1 : 5)) {
@@ -30,22 +32,27 @@ QUICER_BENCH("fig04", "Figure 4: first-PTO reduction and spurious-retransmit zon
     return std::vector<double>{point.reduction_rtts,
                                point.spurious_retransmissions ? 1.0 : 0.0};
   };
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
-  // Rows/columns come from the spec's own axes — one source of truth with
-  // the enumerated grid.
+void Report(const std::vector<core::SweepResult>& results) {
+  const core::SweepResult& result = results[0];
+  core::PrintTitle("Figure 4: first-PTO reduction [RTT] and spurious-retransmit zone");
+  // Rows/columns come from the grid's own axes.
+  const auto deltas = bench::AxisValues(
+      result, [](const core::SweepPoint& p) { return p.config.cert_fetch_delay; });
+  const auto rtts =
+      bench::AxisValues(result, [](const core::SweepPoint& p) { return p.config.rtt; });
   std::printf("%10s", "RTT [ms]");
-  for (sim::Duration delta : spec.axes.cert_fetch_delays) {
+  for (sim::Duration delta : deltas) {
     std::printf("  %14s%2.0fms", "reduction d=", sim::ToMillis(delta));
   }
   std::printf("  %s\n", "spurious (d=25ms)");
 
-  for (sim::Duration rtt : spec.axes.rtts) {
+  for (sim::Duration rtt : rtts) {
     std::printf("%10.0f", sim::ToMillis(rtt));
     bool spurious25 = false;
-    for (sim::Duration delta : spec.axes.cert_fetch_delays) {
+    for (sim::Duration delta : deltas) {
       const core::PointSummary* cell = result.Find([&](const core::SweepPoint& p) {
         return p.config.rtt == rtt && p.config.cert_fetch_delay == delta;
       });
@@ -60,13 +67,9 @@ QUICER_BENCH("fig04", "Figure 4: first-PTO reduction and spurious-retransmit zon
     }
     std::printf("  %s\n", spurious25 ? "yes" : "no");
   }
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
 
-QUICER_BENCH("fig04_zone", "Figure 4: largest spurious-free delta_t per RTT (model)") {
-  using namespace quicer;
-
+std::vector<core::SweepSpec> ZoneSpecs(int /*scale*/) {
   core::SweepSpec spec;
   spec.name = "fig04_zone";
   spec.axes.rtts = {sim::Millis(1),  sim::Millis(5),  sim::Millis(9),
@@ -77,17 +80,22 @@ QUICER_BENCH("fig04_zone", "Figure 4: largest spurious-free delta_t per RTT (mod
   spec.runner = [](const core::SweepRunContext& run) {
     return std::vector<double>{sim::ToMillis(core::SpuriousBoundary(run.point.config.rtt))};
   };
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
+void ZoneReport(const std::vector<core::SweepResult>& results) {
   core::PrintHeading("Zone boundary: largest spurious-free delta_t per RTT (3 x RTT)");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : results[0].points) {
     std::printf("  RTT %4.0f ms -> delta_t <= %s ms\n", summary.point.rtt_ms,
                 core::FormatDouble(summary.primary().summary.mean(), 1).c_str());
   }
   std::printf("\nShape check: reduction = 3*delta/RTT (hyperbolic per delta); lower-latency\n"
               "connections profit more, matching the paper's sweet-spot analysis.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig04", "Figure 4: first-PTO reduction and spurious-retransmit zone (model)",
+             Specs, Report);
+QUICER_BENCH("fig04_zone", "Figure 4: largest spurious-free delta_t per RTT (model)",
+             ZoneSpecs, ZoneReport);

@@ -9,10 +9,11 @@
 #include "core/sweep.h"
 #include "registry.h"
 
-QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface") {
-  using namespace quicer;
-  core::PrintTitle("Figure 4 (engine-measured): first-PTO reduction and spurious probes");
+namespace {
 
+using namespace quicer;
+
+std::vector<core::SweepSpec> Specs(int scale) {
   core::SweepSpec spec;
   spec.name = "fig04b";
   spec.base.client = clients::ClientImpl::kNgtcp2;
@@ -21,22 +22,20 @@ QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface"
   spec.base.time_limit = sim::Seconds(60);
   spec.axes.rtts = {sim::Millis(2),  sim::Millis(5),  sim::Millis(9), sim::Millis(15),
                     sim::Millis(25), sim::Millis(50), sim::Millis(100)};
-  if (bench::DenseAxes(ctx)) {
+  if (bench::DenseAxes(scale)) {
     spec.axes.rtts.insert(spec.axes.rtts.end(),
                           {sim::Millis(35), sim::Millis(75), sim::Millis(150)});
   }
   spec.axes.cert_fetch_delays = {sim::Millis(1), sim::Millis(9), sim::Millis(25)};
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
-  spec.repetitions = 9;
+  spec.repetitions = 9 * scale;
   // Raw values, negatives included: the legacy loops aggregated the
   // first_pto_period sentinel as data.
   spec.metrics = {{"first_pto_ms", core::MetricMode::kSummary, /*exclude_negative=*/false,
                    [](const core::ExperimentResult& r) {
                      return sim::ToMillis(r.client.first_pto_period);
                    }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult first_pto = core::RunSweep(spec);
 
   core::SweepSpec probes_spec = spec;
   probes_spec.name = "fig04b_probes";
@@ -45,18 +44,26 @@ QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface"
                           /*exclude_negative=*/false, [](const core::ExperimentResult& r) {
                             return static_cast<double>(r.client.pto_expirations);
                           }}};
-  const core::SweepResult probes = core::RunSweep(probes_spec);
-  if (bench::AnyPartialExported({&first_pto, &probes})) return 0;
+  return {spec, probes_spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  const core::SweepResult& first_pto = results[0];
+  const core::SweepResult& probes = results[1];
+  core::PrintTitle("Figure 4 (engine-measured): first-PTO reduction and spurious probes");
+  const auto deltas = bench::AxisValues(
+      first_pto, [](const core::SweepPoint& p) { return p.config.cert_fetch_delay; });
+  const auto rtts =
+      bench::AxisValues(first_pto, [](const core::SweepPoint& p) { return p.config.rtt; });
   std::printf("%10s", "RTT [ms]");
-  for (sim::Duration d : spec.axes.cert_fetch_delays) {
+  for (sim::Duration d : deltas) {
     std::printf("   red(d=%4.0f)  spur", sim::ToMillis(d));
   }
   std::printf("\n");
-  for (sim::Duration rtt : spec.axes.rtts) {
+  for (sim::Duration rtt : rtts) {
     const double rtt_ms = sim::ToMillis(rtt);
     std::printf("%10.0f", rtt_ms);
-    for (sim::Duration delta : spec.axes.cert_fetch_delays) {
+    for (sim::Duration delta : deltas) {
       auto find = [&](const core::SweepResult& result, quic::ServerBehavior behavior) {
         return result.Find([&](const core::SweepPoint& p) {
           return p.config.rtt == rtt && p.config.cert_fetch_delay == delta &&
@@ -74,7 +81,8 @@ QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface"
   std::printf("\nShape check: the measured reduction tracks the model's 3*(delta+proc)/RTT\n"
               "surface; spurious client probes appear exactly where delta_t exceeds the\n"
               "client PTO (3 x RTT) — the Fig 4 zone boundary, measured live.\n");
-  core::MaybeWriteSweepData(first_pto);
-  core::MaybeWriteSweepData(probes);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig04b", "Figure 4 (engine-measured): first-PTO reduction surface", Specs, Report);

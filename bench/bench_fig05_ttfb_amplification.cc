@@ -11,39 +11,46 @@
 #include "core/sweep.h"
 #include "registry.h"
 
-QUICER_BENCH("fig05", "Figure 5: TTFB under the amplification limit, WFC vs IACK") {
-  using namespace quicer;
-  core::PrintTitle(
-      "Figure 5: TTFB, 10 KB @ 9 ms RTT, large certificate (> amplification limit), "
-      "delta_t = 200 ms, no loss");
+namespace {
 
+using namespace quicer;
+
+constexpr http::Version kVersions[] = {http::Version::kHttp1, http::Version::kHttp3};
+
+std::vector<core::SweepSpec> Specs(int scale) {
   core::SweepSpec spec;
   spec.name = "fig05";
   spec.base.rtt = sim::Millis(9);
   spec.base.certificate_bytes = tls::kLargeCertificateBytes;
   spec.base.cert_fetch_delay = sim::Millis(200);
   spec.base.response_body_bytes = http::kSmallFileBytes;
-  spec.axes.http_versions = {http::Version::kHttp1, http::Version::kHttp3};
+  spec.axes.http_versions.assign(std::begin(kVersions), std::end(kVersions));
   spec.axes.clients.assign(clients::kAllClients.begin(), clients::kAllClients.end());
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
-  spec.repetitions = bench::kRepetitions;
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  spec.repetitions = bench::kRepetitions * scale;
+  return {spec};
+}
 
-  for (http::Version version : spec.axes.http_versions) {
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle(
+      "Figure 5: TTFB, 10 KB @ 9 ms RTT, large certificate (> amplification limit), "
+      "delta_t = 200 ms, no loss");
+  for (http::Version version : kVersions) {
     core::PrintHeading(std::string(http::ToString(version)));
     bench::PrintAxis(200, 320);
-    for (clients::ClientImpl impl : spec.axes.clients) {
+    for (clients::ClientImpl impl : clients::kAllClients) {
       if (version == http::Version::kHttp3 && !clients::SupportsHttp3(impl)) continue;
-      const auto row = bench::PrintSweepClientRow(result, impl, version, 200, 320);
+      const auto row = bench::PrintSweepClientRow(results[0], impl, version, 200, 320);
       if (row.median_wfc > 0 && row.median_iack > 0) {
         std::printf("%10s  IACK improvement: %+.1f ms\n", "",
                     row.median_wfc - row.median_iack);
       }
     }
   }
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig05", "Figure 5: TTFB under the amplification limit, WFC vs IACK", Specs,
+             Report);

@@ -12,12 +12,11 @@
 #include "core/sweep.h"
 #include "registry.h"
 
-QUICER_BENCH("fig06", "Figure 6: TTFB under first-server-flight tail loss") {
-  using namespace quicer;
-  core::PrintTitle(
-      "Figure 6: TTFB, 10 KB @ 9 ms RTT, loss of first server flight tail (HTTP/1.1)");
-  bench::PrintAxis(40, 320);
+namespace {
 
+using namespace quicer;
+
+std::vector<core::SweepSpec> Specs(int scale) {
   core::SweepSpec spec;
   spec.name = "fig06";
   spec.base.http = http::Version::kHttp1;
@@ -28,16 +27,19 @@ QUICER_BENCH("fig06", "Figure 6: TTFB under first-server-flight tail loss") {
                          quic::ServerBehavior::kInstantAck};
   spec.axes.losses = {
       {"first-server-flight-tail", core::LossCase::kFirstServerFlightTail, {}}};
-  spec.repetitions = bench::kRepetitions;
+  spec.repetitions = bench::kRepetitions * scale;
   spec.metrics = {{"response_ttfb_ms", core::MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const core::ExperimentResult& r) { return r.ResponseTtfbMs(); }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
-  for (clients::ClientImpl impl : spec.axes.clients) {
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle(
+      "Figure 6: TTFB, 10 KB @ 9 ms RTT, loss of first server flight tail (HTTP/1.1)");
+  bench::PrintAxis(40, 320);
+  for (clients::ClientImpl impl : clients::kAllClients) {
     auto find = [&](quic::ServerBehavior behavior) {
-      return result.Find([&](const core::SweepPoint& p) {
+      return results[0].Find([&](const core::SweepPoint& p) {
         return p.config.client == impl && p.config.behavior == behavior;
       });
     };
@@ -58,6 +60,8 @@ QUICER_BENCH("fig06", "Figure 6: TTFB under first-server-flight tail loss") {
   }
   std::printf("\nShape check: IACK needs on the order of the server default PTO (200 ms)\n"
               "longer than WFC, matching the paper's ~177-188 ms penalty.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig06", "Figure 6: TTFB under first-server-flight tail loss", Specs, Report);

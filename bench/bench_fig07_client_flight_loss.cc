@@ -10,12 +10,11 @@
 #include "core/sweep.h"
 #include "registry.h"
 
-QUICER_BENCH("fig07", "Figure 7: TTFB under second-client-flight loss") {
-  using namespace quicer;
-  core::PrintTitle(
-      "Figure 7: TTFB, 10 KB @ 9 ms RTT, loss of the entire second client flight (HTTP/1.1)");
-  bench::PrintAxis(40, 620);
+namespace {
 
+using namespace quicer;
+
+std::vector<core::SweepSpec> Specs(int scale) {
   core::SweepSpec spec;
   spec.name = "fig07";
   spec.base.http = http::Version::kHttp1;
@@ -25,21 +24,27 @@ QUICER_BENCH("fig07", "Figure 7: TTFB under second-client-flight loss") {
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
   spec.axes.losses = {{"second-client-flight", core::LossCase::kSecondClientFlight, {}}};
-  spec.repetitions = bench::kRepetitions;
+  spec.repetitions = bench::kRepetitions * scale;
   spec.metrics = {{"response_ttfb_ms", core::MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const core::ExperimentResult& r) { return r.ResponseTtfbMs(); }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
-  for (clients::ClientImpl impl : spec.axes.clients) {
-    const auto row = bench::PrintSweepClientRow(result, impl, spec.base.http, 40, 620);
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle(
+      "Figure 7: TTFB, 10 KB @ 9 ms RTT, loss of the entire second client flight (HTTP/1.1)");
+  bench::PrintAxis(40, 620);
+  for (clients::ClientImpl impl : clients::kAllClients) {
+    const auto row =
+        bench::PrintSweepClientRow(results[0], impl, http::Version::kHttp1, 40, 620);
     if (row.median_wfc > 0 && row.median_iack > 0) {
       std::printf("%10s  IACK improvement: %+.1f ms\n", "", row.median_wfc - row.median_iack);
     }
   }
   std::printf("\nShape check: IACK saves roughly 3x the server processing delay for every\n"
               "client except picoquic (which ignores the Initial-space RTT sample).\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig07", "Figure 7: TTFB under second-client-flight loss", Specs, Report);

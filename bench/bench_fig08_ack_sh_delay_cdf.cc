@@ -18,10 +18,12 @@
 #include "scan/sweep_runners.h"
 #include "stats/stats.h"
 
-QUICER_BENCH("fig08", "Figure 8: ACK->ServerHello delay CDF per CDN (Sao Paulo)") {
-  using namespace quicer;
-  core::PrintTitle("Figure 8: delay between first ACK and ServerHello (Sao Paulo)");
+namespace {
 
+using namespace quicer;
+
+// The repetition index is the population rank, so --scale leaves it alone.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
   auto population = std::make_shared<const scan::TrancoPopulation>(300000, 2024);
 
   core::SweepSpec spec;
@@ -40,11 +42,12 @@ QUICER_BENCH("fig08", "Figure 8: ACK->ServerHello delay CDF per CDN (Sao Paulo)"
         }
         return result.ack_sh_delay_ms;
       }});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
-  for (const core::PointSummary& summary : result.points) {
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Figure 8: delay between first ACK and ServerHello (Sao Paulo)");
+  for (const core::PointSummary& summary : results[0].points) {
     const std::vector<double>& delays = summary.primary().trace;
     if (delays.empty()) continue;
     // Median over IACK (non-coalesced) responses only, like the paper's
@@ -64,6 +67,8 @@ QUICER_BENCH("fig08", "Figure 8: ACK->ServerHello delay CDF per CDN (Sao Paulo)"
   }
   std::printf("\nShape check: Akamai clearly slower than the other CDNs to deliver the SH;\n"
               "Cloudflare fastest (median ~3 ms).\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig08", "Figure 8: ACK->ServerHello delay CDF per CDN (Sao Paulo)", Specs, Report);

@@ -33,14 +33,13 @@ scan::StudyMetricFn HourCount(int scan::HourlyPoint::*field) {
   };
 }
 
-}  // namespace
+constexpr int kHours = 168;
 
-QUICER_BENCH("fig09", "Figure 9: Cloudflare week-long study time series (Sao Paulo)") {
-  core::PrintTitle("Figure 9: Cloudflare week-long study, Sao Paulo (engine-backed)");
-
+// The repetition index is the study hour, so --scale leaves it alone.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
   scan::CloudflareStudyConfig config;
   config.vantage = scan::Vantage::kSaoPaulo;
-  config.hours = 168;
+  config.hours = kHours;
   config.samples_per_hour = 6;
   config.cache_probability = 0.075;
 
@@ -59,13 +58,15 @@ QUICER_BENCH("fig09", "Figure 9: Cloudflare week-long study time series (Sao Pau
        HourField(&scan::HourlyPoint::median_coalesced_ms),
        HourCount(&scan::HourlyPoint::ack_samples),
        HourCount(&scan::HourlyPoint::coalesced_samples)});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
-  const core::PointSummary& point = result.points.front();
+  return {spec};
+}
+
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Figure 9: Cloudflare week-long study, Sao Paulo (engine-backed)");
+  const core::PointSummary& point = results[0].points.front();
 
   std::printf("%6s  %10s  %10s  %14s\n", "hour", "ACK [ms]", "SH [ms]", "ACK,SH coal [ms]");
-  for (int hour = 0; hour < config.hours; ++hour) {
+  for (int hour = 0; hour < kHours; ++hour) {
     if (hour % 6 != 0) continue;  // readable subsample
     const std::size_t i = static_cast<std::size_t>(hour);
     std::printf("%6d  %10.2f  %10.2f  %14.2f\n", hour,
@@ -76,8 +77,8 @@ QUICER_BENCH("fig09", "Figure 9: Cloudflare week-long study time series (Sao Pau
 
   // Rebuild the hourly points from the traces; the summary is then exactly
   // the legacy SummarizeStudy over the study's own output.
-  std::vector<scan::HourlyPoint> hours(static_cast<std::size_t>(config.hours));
-  for (int hour = 0; hour < config.hours; ++hour) {
+  std::vector<scan::HourlyPoint> hours(static_cast<std::size_t>(kHours));
+  for (int hour = 0; hour < kHours; ++hour) {
     const std::size_t i = static_cast<std::size_t>(hour);
     hours[i].hour = hour;
     hours[i].median_ack_ms = point.Metric("median_ack_ms")->trace[i];
@@ -95,6 +96,9 @@ QUICER_BENCH("fig09", "Figure 9: Cloudflare week-long study time series (Sao Pau
   std::printf("coalesced share:            %6.1f %%\n", summary.coalesced_share * 100.0);
   std::printf("\nShape check: daytime hours (7-19 local) show larger ACK->SH gaps; coalesced\n"
               "responses track the instant-ACK latency (certificate cached).\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig09", "Figure 9: Cloudflare week-long study time series (Sao Paulo)", Specs,
+             Report);

@@ -23,7 +23,7 @@ namespace {
 
 using namespace quicer;
 
-void Report(const core::SweepResult& result, const char* metric, const char* label) {
+void PrintClass(const core::SweepResult& result, const char* metric, const char* label) {
   core::PrintHeading(label);
   std::printf("%12s  %8s  %12s  %12s  %18s\n", "CDN", "n", "median[ms]", "p90 [ms]",
               "share delay>RTT [%]");
@@ -41,11 +41,8 @@ void Report(const core::SweepResult& result, const char* metric, const char* lab
   }
 }
 
-}  // namespace
-
-QUICER_BENCH("fig10", "Figure 10: RTT minus reported ACK Delay, coalesced vs instant ACK") {
-  core::PrintTitle("Figure 10: RTT minus reported ACK Delay, coalesced vs instant ACK");
-
+// The repetition index is the population rank, so --scale leaves it alone.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
   auto population = std::make_shared<const scan::TrancoPopulation>(100000, 2024);
 
   core::SweepSpec spec;
@@ -68,14 +65,18 @@ QUICER_BENCH("fig10", "Figure 10: RTT minus reported ACK Delay, coalesced vs ins
          if (!result.success || !result.iack_observed) return core::NoSample();
          return result.rtt_ms - result.reported_ack_delay_ms;
        }});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
-  Report(result, "rtt_minus_ackdelay_coalesced", "(a) Coalesced ACK+SH");
-  Report(result, "rtt_minus_ackdelay_iack", "(b) Separate instant ACK");
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Figure 10: RTT minus reported ACK Delay, coalesced vs instant ACK");
+  PrintClass(results[0], "rtt_minus_ackdelay_coalesced", "(a) Coalesced ACK+SH");
+  PrintClass(results[0], "rtt_minus_ackdelay_iack", "(b) Separate instant ACK");
   std::printf("\nShape check: coalesced responses hug/exceed the RTT; only Akamai and\n"
               "Others' IACKs predominantly stay below it.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig10", "Figure 10: RTT minus reported ACK Delay, coalesced vs instant ACK", Specs,
+             Report);

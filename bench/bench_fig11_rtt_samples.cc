@@ -12,10 +12,12 @@
 #include "clients/profiles.h"
 #include "registry.h"
 
-QUICER_BENCH("fig11", "Figure 11: RTT samples vs exposed metric updates (10 MB)") {
-  using namespace quicer;
-  core::PrintTitle("Figure 11: RTT samples vs exposed metric updates, 10 MB @ 100 ms, WFC");
+namespace {
 
+using namespace quicer;
+
+// One deterministic transfer per client: --scale leaves the grid alone.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
   core::SweepSpec spec;
   spec.name = "fig11";
   spec.base.http = http::Version::kHttp1;
@@ -36,13 +38,14 @@ QUICER_BENCH("fig11", "Figure 11: RTT samples vs exposed metric updates (10 MB)"
        }},
       {"completed", core::MetricMode::kSummary, /*exclude_negative=*/false,
        [](const core::ExperimentResult& r) { return r.completed ? 1.0 : 0.0; }}};
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Figure 11: RTT samples vs exposed metric updates, 10 MB @ 100 ms, WFC");
   std::printf("%10s  %22s  %24s  %10s\n", "client", "packets w/ new ACKs",
               "recovery:metric updates", "exposed %");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : results[0].points) {
     const double packets = summary.Metric("packets_with_new_acks")->summary.mean();
     const double updates = summary.Metric("metric_updates")->summary.mean();
     const double exposed = packets == 0 ? 0.0 : 100.0 * updates / packets;
@@ -53,6 +56,8 @@ QUICER_BENCH("fig11", "Figure 11: RTT samples vs exposed metric updates (10 MB)"
   }
   std::printf("\nShape check: flow-update cadence drives the sample counts (quiche/go-x-net\n"
               "highest); neqo/ngtcp2/picoquic/quic-go expose only a fraction of updates.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig11", "Figure 11: RTT samples vs exposed metric updates (10 MB)", Specs, Report);

@@ -11,18 +11,21 @@
 #include "core/sweep.h"
 #include "registry.h"
 
-QUICER_BENCH("fig12", "Figure 12: first-server-flight loss across RTTs") {
-  using namespace quicer;
-  core::PrintTitle("Figure 12: first-server-flight loss across RTTs (Fig 6 generalised)");
+namespace {
 
+using namespace quicer;
+
+constexpr http::Version kVersions[] = {http::Version::kHttp1, http::Version::kHttp3};
+
+std::vector<core::SweepSpec> Specs(int scale) {
   core::SweepSpec spec;
   spec.name = "fig12";
   spec.base.response_body_bytes = http::kSmallFileBytes;
   spec.base.time_limit = sim::Seconds(30);
-  spec.axes.http_versions = {http::Version::kHttp1, http::Version::kHttp3};
+  spec.axes.http_versions.assign(std::begin(kVersions), std::end(kVersions));
   spec.axes.rtts = {sim::Millis(1), sim::Millis(9), sim::Millis(20), sim::Millis(100),
                     sim::Millis(300)};
-  if (bench::DenseAxes(ctx)) {
+  if (bench::DenseAxes(scale)) {
     spec.axes.rtts.insert(spec.axes.rtts.end(), {sim::Millis(50), sim::Millis(200)});
   }
   spec.axes.clients.assign(clients::kAllClients.begin(), clients::kAllClients.end());
@@ -30,20 +33,24 @@ QUICER_BENCH("fig12", "Figure 12: first-server-flight loss across RTTs") {
                          quic::ServerBehavior::kInstantAck};
   spec.axes.losses = {
       {"first-server-flight-tail", core::LossCase::kFirstServerFlightTail, {}}};
-  spec.repetitions = 10;
+  spec.repetitions = 10 * scale;
   spec.metrics = {{"response_ttfb_ms", core::MetricMode::kSummary, /*exclude_negative=*/true,
                    [](const core::ExperimentResult& r) { return r.ResponseTtfbMs(); }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
-  for (http::Version version : spec.axes.http_versions) {
+void Report(const std::vector<core::SweepResult>& results) {
+  const core::SweepResult& result = results[0];
+  core::PrintTitle("Figure 12: first-server-flight loss across RTTs (Fig 6 generalised)");
+  const auto rtts =
+      bench::AxisValues(result, [](const core::SweepPoint& p) { return p.config.rtt; });
+  for (http::Version version : kVersions) {
     core::PrintHeading(std::string(http::ToString(version)));
     std::printf("%10s %8s  %12s  %12s  %14s\n", "client", "RTT[ms]", "WFC med[ms]",
                 "IACK med[ms]", "IACK-WFC [ms]");
-    for (sim::Duration rtt : spec.axes.rtts) {
+    for (sim::Duration rtt : rtts) {
       const double rtt_ms = sim::ToMillis(rtt);
-      for (clients::ClientImpl impl : spec.axes.clients) {
+      for (clients::ClientImpl impl : clients::kAllClients) {
         if (version == http::Version::kHttp3 && !clients::SupportsHttp3(impl)) continue;
         auto find = [&](quic::ServerBehavior behavior) {
           return result.Find([&](const core::SweepPoint& p) {
@@ -68,6 +75,8 @@ QUICER_BENCH("fig12", "Figure 12: first-server-flight loss across RTTs") {
     }
   }
   std::printf("Shape check: positive IACK penalty up to ~100 ms RTT; sign flips by 300 ms.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig12", "Figure 12: first-server-flight loss across RTTs", Specs, Report);

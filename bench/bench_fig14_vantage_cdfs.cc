@@ -16,20 +16,22 @@
 #include "registry.h"
 #include "scan/sweep_runners.h"
 
-QUICER_BENCH("fig14", "Figure 14: ACK->SH delay per CDN from four vantage points") {
-  using namespace quicer;
-  core::PrintTitle("Figure 14: ACK->SH delay CDF per CDN from four vantage points");
+namespace {
 
+using namespace quicer;
+
+constexpr scan::Cdn kCdns[] = {scan::Cdn::kAkamai, scan::Cdn::kAmazon, scan::Cdn::kCloudflare,
+                               scan::Cdn::kGoogle, scan::Cdn::kOthers};
+
+// The repetition index is the population rank, so --scale leaves it alone.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
   auto population = std::make_shared<const scan::TrancoPopulation>(50000, 2024);
-  const std::vector<scan::Cdn> cdns = {scan::Cdn::kAkamai, scan::Cdn::kAmazon,
-                                       scan::Cdn::kCloudflare, scan::Cdn::kGoogle,
-                                       scan::Cdn::kOthers};
 
   core::SweepSpec spec;
   spec.name = "fig14";
   spec.axes.extras = {
       scan::VantageAxis({scan::kAllVantages.begin(), scan::kAllVantages.end()}),
-      scan::CdnAxis(cdns)};
+      scan::CdnAxis({std::begin(kCdns), std::end(kCdns)})};
   spec.repetitions = static_cast<int>(population->size());
   spec.reservoir_capacity = population->size();  // exact percentiles
   spec.metrics = {
@@ -40,15 +42,16 @@ QUICER_BENCH("fig14", "Figure 14: ACK->SH delay per CDN from four vantage points
         if (!result.success || !result.iack_observed) return core::NoSample();
         return result.ack_sh_delay_ms;
       }});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Figure 14: ACK->SH delay CDF per CDN from four vantage points");
   for (scan::Vantage vantage : scan::kAllVantages) {
     core::PrintHeading(std::string(scan::Name(vantage)));
     std::printf("%12s  %8s  %10s  %10s  %10s\n", "CDN", "n", "p25 [ms]", "median", "p75 [ms]");
-    for (scan::Cdn cdn : cdns) {
-      const core::PointSummary* cell = result.Find([&](const core::SweepPoint& p) {
+    for (scan::Cdn cdn : kCdns) {
+      const core::PointSummary* cell = results[0].Find([&](const core::SweepPoint& p) {
         return scan::PointVantage(p) == vantage && scan::PointCdn(p) == cdn;
       });
       const std::string name(scan::Name(cdn));
@@ -62,6 +65,9 @@ QUICER_BENCH("fig14", "Figure 14: ACK->SH delay per CDN from four vantage points
     }
   }
   std::printf("\nShape check: per-CDN medians stable across vantage points.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig14", "Figure 14: ACK->SH delay per CDN from four vantage points", Specs,
+             Report);

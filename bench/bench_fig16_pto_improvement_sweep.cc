@@ -21,12 +21,9 @@ double FirstPtoMs(const quicer::core::ExperimentResult& result) {
   return quicer::sim::ToMillis(result.client.first_pto_period);
 }
 
-}  // namespace
+using namespace quicer;
 
-QUICER_BENCH("fig16", "Figure 16: first-PTO improvement of IACK over WFC across RTTs") {
-  using namespace quicer;
-  core::PrintTitle("Figure 16: median first-PTO improvement of IACK over WFC across RTTs");
-
+std::vector<core::SweepSpec> Specs(int scale) {
   core::SweepSpec spec;
   spec.name = "fig16";
   spec.base.http = http::Version::kHttp1;
@@ -34,28 +31,31 @@ QUICER_BENCH("fig16", "Figure 16: first-PTO improvement of IACK over WFC across 
   spec.base.time_limit = sim::Seconds(30);
   spec.axes.rtts = {sim::Millis(1),   sim::Millis(9),   sim::Millis(20),  sim::Millis(50),
                     sim::Millis(100), sim::Millis(150), sim::Millis(200), sim::Millis(300)};
-  if (bench::DenseAxes(ctx)) {
+  if (bench::DenseAxes(scale)) {
     spec.axes.rtts.insert(spec.axes.rtts.end(), {sim::Millis(5), sim::Millis(35),
                                                  sim::Millis(75), sim::Millis(250)});
   }
   spec.axes.clients.assign(clients::kAllClients.begin(), clients::kAllClients.end());
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
-  spec.repetitions = 15;
+  spec.repetitions = 15 * scale;
   // Raw values (the -1 no-PTO sentinel included), like the legacy loops.
   spec.metrics = {{"first_pto_ms", core::MetricMode::kSummary, /*exclude_negative=*/false,
                    &FirstPtoMs}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  const core::SweepResult& result = results[0];
+  core::PrintTitle("Figure 16: median first-PTO improvement of IACK over WFC across RTTs");
   std::printf("%10s", "RTT[ms]");
   for (clients::ClientImpl impl : clients::kAllClients) {
     std::printf("  %9s", std::string(clients::Name(impl)).c_str());
   }
   std::printf("   (improvement in ms)\n");
 
-  for (sim::Duration rtt : spec.axes.rtts) {  // rows = the spec's own axis
+  for (sim::Duration rtt : bench::AxisValues(  // rows = the grid's own axis
+           result, [](const core::SweepPoint& p) { return p.config.rtt; })) {
     std::printf("%10.0f", sim::ToMillis(rtt));
     for (clients::ClientImpl impl : clients::kAllClients) {
       auto median = [&](quic::ServerBehavior behavior) {
@@ -72,6 +72,9 @@ QUICER_BENCH("fig16", "Figure 16: first-PTO improvement of IACK over WFC across 
   }
   std::printf("\nShape check: per-client improvement approximately constant across RTTs\n"
               "(~3x the server-side processing delay); go-x-net noisy.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("fig16", "Figure 16: first-PTO improvement of IACK over WFC across RTTs", Specs,
+             Report);

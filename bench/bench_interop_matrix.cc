@@ -5,31 +5,36 @@
 #include "clients/profiles.h"
 #include "registry.h"
 
-QUICER_BENCH("interop_matrix", "Interop matrix: median lossless TTFB grid") {
-  using namespace quicer;
-  core::PrintTitle("Interop matrix: median TTFB [ms], 10 KB @ 9 ms RTT, no loss");
+namespace {
 
+using namespace quicer;
+
+constexpr http::Version kVersions[] = {http::Version::kHttp1, http::Version::kHttp3};
+constexpr quic::ServerBehavior kBehaviors[] = {quic::ServerBehavior::kWaitForCertificate,
+                                               quic::ServerBehavior::kInstantAck};
+
+std::vector<core::SweepSpec> Specs(int scale) {
   core::SweepSpec spec;
   spec.name = "interop_matrix";
   spec.base.rtt = sim::Millis(9);
   spec.base.response_body_bytes = http::kSmallFileBytes;
   spec.axes.clients.assign(clients::kAllClients.begin(), clients::kAllClients.end());
-  spec.axes.http_versions = {http::Version::kHttp1, http::Version::kHttp3};
-  spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
-                         quic::ServerBehavior::kInstantAck};
-  spec.repetitions = 15;
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  spec.axes.http_versions.assign(std::begin(kVersions), std::end(kVersions));
+  spec.axes.behaviors.assign(std::begin(kBehaviors), std::end(kBehaviors));
+  spec.repetitions = 15 * scale;
+  return {spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Interop matrix: median TTFB [ms], 10 KB @ 9 ms RTT, no loss");
   std::printf("%10s  %10s  %10s  %10s  %10s  %12s\n", "client", "H1/WFC", "H1/IACK", "H3/WFC",
               "H3/IACK", "H3-H1 gap");
-  for (clients::ClientImpl impl : spec.axes.clients) {
+  for (clients::ClientImpl impl : clients::kAllClients) {
     double cells[4] = {-1, -1, -1, -1};
     int cell = 0;
-    for (http::Version version : spec.axes.http_versions) {
-      for (quic::ServerBehavior behavior : spec.axes.behaviors) {
-        const core::PointSummary* summary = result.Find([&](const core::SweepPoint& p) {
+    for (http::Version version : kVersions) {
+      for (quic::ServerBehavior behavior : kBehaviors) {
+        const core::PointSummary* summary = results[0].Find([&](const core::SweepPoint& p) {
           return p.config.client == impl && p.config.http == version &&
                  p.config.behavior == behavior;
         });
@@ -44,6 +49,8 @@ QUICER_BENCH("interop_matrix", "Interop matrix: median lossless TTFB grid") {
               "client; HTTP/3 sits ~1 RTT below HTTP/1.1 (SETTINGS is the first stream\n"
               "byte). The instant-ACK effects only appear under loss (Fig 6/7) or the\n"
               "anti-amplification limit (Fig 5).\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("interop_matrix", "Interop matrix: median lossless TTFB grid", Specs, Report);

@@ -31,51 +31,36 @@ quicer::netem::QueueModel Fifo(std::size_t depth_pkts) {
   return queue;
 }
 
-}  // namespace
+using namespace quicer;
 
-QUICER_BENCH("netem_burst", "Netem: TTFB under bursty loss x bottleneck queue depth") {
-  using namespace quicer;
-  core::PrintTitle(
-      "Netem: TTFB, 10 KB @ 9 ms RTT, Gilbert-Elliott bursty loss x FIFO queue depth");
+constexpr const char* kLossLabels[] = {"ideal", "ge-mild", "ge-harsh"};
+constexpr const char* kQueueLabels[] = {"qinf", "q12", "q4"};
+constexpr quic::ServerBehavior kBehaviors[] = {quic::ServerBehavior::kWaitForCertificate,
+                                               quic::ServerBehavior::kInstantAck};
 
-  struct LossChoice {
-    const char* label;
-    netem::LossModel model;
-  };
-  struct QueueChoice {
-    const char* label;
-    netem::QueueModel model;
-  };
-  const LossChoice loss_axis[] = {
-      {"ideal", netem::LossModel{}},
-      {"ge-mild", Gilbert(0.02, 0.5)},
-      {"ge-harsh", Gilbert(0.1, 0.25)},
-  };
-  const QueueChoice queue_axis[] = {
-      {"qinf", Fifo(0)},
-      {"q12", Fifo(12)},
-      {"q4", Fifo(4)},
-  };
+std::vector<core::SweepSpec> Specs(int scale) {
+  const netem::LossModel loss_models[] = {netem::LossModel{}, Gilbert(0.02, 0.5),
+                                          Gilbert(0.1, 0.25)};
+  const netem::QueueModel queue_models[] = {Fifo(0), Fifo(12), Fifo(4)};
 
   core::SweepSpec spec;
   spec.name = "netem_burst";
   spec.base.http = http::Version::kHttp1;
   spec.base.rtt = sim::Millis(9);
   spec.base.response_body_bytes = http::kSmallFileBytes;
-  spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
-                         quic::ServerBehavior::kInstantAck};
-  for (const LossChoice& loss : loss_axis) {
-    for (const QueueChoice& queue : queue_axis) {
+  spec.axes.behaviors.assign(std::begin(kBehaviors), std::end(kBehaviors));
+  for (std::size_t l = 0; l < std::size(kLossLabels); ++l) {
+    for (std::size_t q = 0; q < std::size(kQueueLabels); ++q) {
       core::SweepLink link;
-      link.label = std::string(loss.label) + "+" + queue.label;
-      for (int dir : {netem::kUp, netem::kDown}) link.model.loss[dir] = loss.model;
+      link.label = std::string(kLossLabels[l]) + "+" + kQueueLabels[q];
+      for (int dir : {netem::kUp, netem::kDown}) link.model.loss[dir] = loss_models[l];
       // The bottleneck queue bounds the data-heavy downlink; the uplink
       // stays transmitter-clocked (requests never burst).
-      link.model.queue[netem::kDown] = queue.model;
+      link.model.queue[netem::kDown] = queue_models[q];
       spec.axes.links.push_back(std::move(link));
     }
   }
-  spec.repetitions = bench::kRepetitions;
+  spec.repetitions = bench::kRepetitions * scale;
   // TTFB only sees losses of the first response datagram; the completion
   // time is where tail drops of the bounded queue and long bursts land.
   spec.metrics = {{"response_ttfb_ms", core::MetricMode::kSummary, /*exclude_negative=*/true,
@@ -86,22 +71,24 @@ QUICER_BENCH("netem_burst", "Netem: TTFB under bursty loss x bottleneck queue de
                                 ? -1.0
                                 : sim::ToMillis(r.client.response_complete);
                    }}};
-  bench::Tune(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle(
+      "Netem: TTFB, 10 KB @ 9 ms RTT, Gilbert-Elliott bursty loss x FIFO queue depth");
   const char* metric_names[] = {"response_ttfb_ms", "response_complete_ms"};
   const char* metric_titles[] = {"median response TTFB in ms",
                                  "median response completion in ms"};
   for (int m = 0; m < 2; ++m) {
     std::printf("%24s%s (aborted runs excluded)\n", "", metric_titles[m]);
     std::printf("%10s  %8s  %8s %8s %8s\n", "loss", "behavior", "qinf", "q12", "q4");
-    for (const LossChoice& loss : loss_axis) {
-      for (quic::ServerBehavior behavior : spec.axes.behaviors) {
-        std::printf("%10s  %8s", loss.label, quic::ToString(behavior));
-        for (const QueueChoice& queue : queue_axis) {
-          const std::string label = std::string(loss.label) + "+" + queue.label;
-          const core::PointSummary* point = result.Find([&](const core::SweepPoint& p) {
+    for (const char* loss : kLossLabels) {
+      for (quic::ServerBehavior behavior : kBehaviors) {
+        std::printf("%10s  %8s", loss, quic::ToString(behavior));
+        for (const char* queue : kQueueLabels) {
+          const std::string label = std::string(loss) + "+" + queue;
+          const core::PointSummary* point = results[0].Find([&](const core::SweepPoint& p) {
             return p.link == label && p.config.behavior == behavior;
           });
           const core::MetricSeries* series =
@@ -117,6 +104,9 @@ QUICER_BENCH("netem_burst", "Netem: TTFB under bursty loss x bottleneck queue de
               "the response is admitted even to a full-by-tail queue); completion time\n"
               "degrades as the bounded queue clips the server's bursts. The WFC advantage\n"
               "of the deterministic-loss figures persists under stochastic bursts.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("netem_burst", "Netem: TTFB under bursty loss x bottleneck queue depth", Specs,
+             Report);

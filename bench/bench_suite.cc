@@ -12,11 +12,13 @@
 // execute → merge pipeline, and `queue-init --grid` plans a distributed run
 // from one — scenario authorship is a data task, not a C++ task.
 //
-// Bench bodies run only on the compiled-in path (`bench_suite [--filter]`).
-// `run --grid` and queue workers execute resolved specs instead: the sweep
-// spec a body declares, captured by CaptureSpecs, with the scenario (if any)
-// applied — exactly the spec whose content-hash the queue plan records.
-//
+// Every sweep runs through one function, RunBench: the compiled-in benches
+// (their declared specs, then their report), `run --grid` scenarios and
+// queue units (resolved specs: a bench's declared spec with the scenario,
+// if any, applied — exactly the spec whose content-hash the queue plan
+// records). RunBench tunes each spec with the suite options right before it
+// runs and writes its exports; only a bench whose sweeps all came back
+// complete gets its report printed.
 //
 // lint:allow-file(ND002): the driver times sweeps, budgets, and heartbeats
 // with the wall clock; no wall-clock value reaches an exported byte.
@@ -45,9 +47,7 @@
 //   bench_suite worker --queue=Q [--worker-id=W] [--lease-seconds=N] [--retries=N] [--telemetry]
 //   bench_suite queue-status --queue=Q [--json]
 //   bench_suite collect --queue=Q [--out-dir=DIR] [--telemetry=FILE]
-#include <fcntl.h>
-#include <unistd.h>
-
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +59,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -77,7 +78,12 @@ namespace {
 
 using quicer::bench::BenchContext;
 using quicer::bench::BenchInfo;
+using quicer::bench::CapturedSpec;
+using quicer::bench::CaptureSpecs;
 using quicer::bench::Registry;
+using quicer::bench::ReportFn;
+using quicer::core::SweepResult;
+using quicer::core::SweepSpec;
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
@@ -366,33 +372,117 @@ bool RequireDataDirForSubset(const BenchContext& context) {
   return false;
 }
 
-/// One timed entry of a run: a bench body (the default path) or a resolved
-/// scenario (`run --grid`).
+/// Progress observer printing "points done / total, runs/sec" to stderr
+/// (stdout carries the figure tables).
+quicer::core::SweepObserver StderrProgress() {
+  return [](const quicer::core::SweepProgress& p) {
+    std::fprintf(stderr, "[%.*s] %zu/%zu points, %zu runs, %.0f runs/s%s\n",
+                 static_cast<int>(p.sweep.size()), p.sweep.data(), p.points_completed,
+                 p.points_total, p.runs_completed, p.runs_per_second,
+                 p.points_skipped > 0 ? " (budget: some points skipped)" : "");
+  };
+}
+
+/// Applies the suite options to a spec about to run: --progress and the
+/// context's observer, the --shard / --points / --rep-range subset,
+/// --qlog-dir, and the --budget-seconds budget that remains *now*. RunSweep
+/// counts a budget from its own start, so a spec tuned any earlier would
+/// also be granted the time the sweeps before it spent.
+void Tune(SweepSpec& spec, const BenchContext& context) {
+  if (!spec.observer) {
+    if (context.observer && context.progress) {
+      spec.observer = [extra = context.observer,
+                       stderr_progress = StderrProgress()](const quicer::core::SweepProgress& p) {
+        extra(p);
+        stderr_progress(p);
+      };
+    } else if (context.observer) {
+      spec.observer = context.observer;
+    } else if (context.progress) {
+      spec.observer = StderrProgress();
+    }
+  }
+  spec.shard = context.shard;
+  spec.qlog_dir = context.qlog_dir;
+  if (context.budget_seconds > 0.0 && spec.time_budget_seconds == 0.0) {
+    spec.time_budget_seconds = context.RemainingBudgetSeconds();
+  }
+}
+
+/// Runs `specs` in order, each tuned right before it runs, and writes every
+/// result into QUICER_DATA_DIR: the final pair when complete, the partial
+/// file when a subset or the budget left points out. `report` (a bench's
+/// analysis) runs only when every sweep came back complete: it would read
+/// incomplete series otherwise. Without a report — data-defined sweeps,
+/// whose edits may drop the points an analysis reads — each complete sweep
+/// prints a one-line summary instead. Returns the results in spec order.
+std::vector<SweepResult> RunBench(std::vector<SweepSpec> specs, const ReportFn& report,
+                                  const BenchContext& context) {
+  std::vector<SweepResult> results;
+  results.reserve(specs.size());
+  bool complete = true;
+  for (SweepSpec& spec : specs) {
+    Tune(spec, context);
+    results.push_back(quicer::core::RunSweep(spec));
+    const SweepResult& result = results.back();
+    const bool wrote = quicer::core::MaybeWriteSweepData(result);
+    if (!result.partial()) {
+      if (report) continue;
+      if (!wrote) {
+        std::fprintf(stderr,
+                     "[%s] WARNING: grid-run result NOT exported (set QUICER_DATA_DIR / "
+                     "--data-dir)\n",
+                     result.name.c_str());
+      }
+      std::printf("[%s] grid run: %zu points, %zu runs — data exported, analysis skipped.\n",
+                  result.name.c_str(), result.points.size(), result.executed_runs);
+      continue;
+    }
+    complete = false;
+    if (!wrote) {
+      std::fprintf(stderr,
+                   "[%s] WARNING: partial result NOT exported (set QUICER_DATA_DIR / "
+                   "--data-dir); the executed points are lost\n",
+                   result.name.c_str());
+    }
+    for (std::size_t id : result.shard.points) {
+      if (id >= result.points.size()) {
+        std::fprintf(stderr, "[%s] WARNING: --points id %zu exceeds the %zu-point grid\n",
+                     result.name.c_str(), id, result.points.size());
+      }
+    }
+    const std::size_t executed =
+        std::count_if(result.points.begin(), result.points.end(),
+                      [](const quicer::core::PointSummary& point) { return point.executed; });
+    std::printf("[%s] partial run: %zu/%zu points executed — analysis skipped; combine the\n"
+                "partial exports with `bench_suite merge`.\n",
+                result.name.c_str(), executed, result.points.size());
+  }
+  if (report && complete) report(results);
+  return results;
+}
+
+/// One timed entry of a run: a compiled-in bench (its declared specs and
+/// report) or a resolved scenario of `run --grid` (no report).
 struct RunJob {
   std::string label;
   std::string bench;  // telemetry attribution
-  std::function<int(const BenchContext&)> run;
+  std::function<std::vector<SweepSpec>(const BenchContext&)> specs;
+  ReportFn report;
 };
 
 /// Runs the jobs in order under one suite budget, writes the --telemetry
-/// report and prints the per-job wall-clock table. Exit 1 if any job failed.
+/// report and prints the per-job wall-clock table.
 int RunJobs(const std::vector<RunJob>& jobs, RunOptions& options, const char* column,
             const std::string& what) {
-  struct Timing {
-    std::string label;
-    double seconds;
-    int exit_code;
-  };
-  std::vector<Timing> timings;
+  std::vector<std::pair<std::string, double>> timings;
   options.context.suite_start = std::chrono::steady_clock::now();
   if (!options.telemetry_path.empty()) quicer::obs::EnableProcess();
-  int failures = 0;
   for (const RunJob& job : jobs) {
     quicer::obs::SetCurrentBench(job.bench);
     const auto start = std::chrono::steady_clock::now();
-    const int code = job.run(options.context);
-    timings.push_back({job.label, SecondsSince(start), code});
-    if (code != 0) ++failures;
+    RunBench(job.specs(options.context), job.report, options.context);
+    timings.emplace_back(job.label, SecondsSince(start));
   }
   quicer::obs::SetCurrentBench("");
   if (!options.telemetry_path.empty() &&
@@ -400,39 +490,15 @@ int RunJobs(const std::vector<RunJob>& jobs, RunOptions& options, const char* co
     return 1;
   }
 
-  std::printf("\n%-24s %10s  %s\n", column, "wall [s]", "status");
-  for (const Timing& timing : timings) {
-    std::printf("%-24s %10.2f  %s\n", timing.label.c_str(), timing.seconds,
-                timing.exit_code == 0 ? "ok" : "FAILED");
+  std::printf("\n%-24s %10s\n", column, "wall [s]");
+  for (const auto& [label, seconds] : timings) {
+    std::printf("%-24s %10.2f\n", label.c_str(), seconds);
   }
   std::printf("%-24s %10.2f  (%zu %s, pool of %u threads)\n", "total",
               SecondsSince(options.context.suite_start), timings.size(), what.c_str(),
               quicer::core::ThreadPool::Global().size());
-  return failures == 0 ? 0 : 1;
-}
-
-/// Executes one resolved sweep (a captured live spec, with a scenario
-/// applied for grid runs) under the run context, without entering its
-/// bench body, and writes its exports into QUICER_DATA_DIR: the partial
-/// file for a grid subset, the final pair otherwise. The body's printed
-/// analysis may index points an edited grid dropped, so it never runs here.
-int RunResolvedSweep(quicer::core::SweepSpec spec, const BenchContext& context) {
-  quicer::bench::TuneObserver(spec, context);
-  const quicer::core::SweepResult result = quicer::core::RunSweep(spec);
-  if (quicer::bench::PartialExported(result)) return 0;
-  if (!quicer::core::MaybeWriteSweepData(result)) {
-    std::fprintf(stderr,
-                 "[%s] WARNING: grid-run result NOT exported (set QUICER_DATA_DIR / "
-                 "--data-dir)\n",
-                 result.name.c_str());
-  }
-  std::printf("[%s] grid run: %zu points, %zu runs — data exported, analysis skipped.\n",
-              result.name.c_str(), result.points.size(), result.executed_runs);
   return 0;
 }
-
-using quicer::bench::CapturedSpec;
-using quicer::bench::CaptureSpecs;
 
 /// Queue inventories of captured sweeps (grid size, repetitions, spec hash).
 std::vector<quicer::dist::SweepInventory> InventoriesOf(
@@ -451,6 +517,32 @@ std::vector<quicer::dist::SweepInventory> InventoriesOf(
     sweeps.push_back(std::move(inventory));
   }
   return sweeps;
+}
+
+/// --points ids are validated against the grids of the sweeps about to run:
+/// an id no sweep can serve is an error, not a silent no-op. Returns the
+/// exit code (0 = every id is served).
+int ValidatePoints(const std::vector<CapturedSpec>& sweeps,
+                   const std::vector<std::size_t>& ids) {
+  std::size_t max_points = 0;
+  for (const CapturedSpec& sweep : sweeps) max_points = std::max(max_points, sweep.point_count);
+  std::string unknown;
+  for (std::size_t id : ids) {
+    if (id >= max_points) {
+      if (!unknown.empty()) unknown += ',';
+      unknown += std::to_string(id);
+    }
+  }
+  if (unknown.empty()) return 0;
+  std::fprintf(stderr,
+               "--points: unknown point id(s) %s — no selected sweep has that many "
+               "points. Enumerated grids:\n",
+               unknown.c_str());
+  for (const CapturedSpec& sweep : sweeps) {
+    std::fprintf(stderr, "  %-24s %zu points (ids 0..%zu)\n", sweep.spec.name.c_str(),
+                 sweep.point_count, sweep.point_count > 0 ? sweep.point_count - 1 : 0);
+  }
+  return 2;
 }
 
 /// Union of benches matching any of the filters (all benches when none),
@@ -482,39 +574,20 @@ std::optional<std::string> SlurpFile(const std::string& path) {
   return buffer.str();
 }
 
-// ---------------------------------------------------------------------------
-// Scenario-file plumbing shared by export-grid --check, run --grid,
-// queue-init --grid and the worker.
-// ---------------------------------------------------------------------------
-
-/// One scenario of a grid file, validated against the registry: the bench
-/// exists, the sweep exists in it, and the scenario resolves cleanly onto
-/// the captured live spec.
-struct GridScenario {
-  quicer::core::Scenario scenario;
-  const CapturedSpec* live = nullptr;       // owned by GridPlan::captured
-  quicer::core::SweepSpec applied;          // live spec + scenario data
-  std::size_t point_count = 0;              // of the applied spec
-};
-
-struct GridPlan {
-  std::vector<quicer::core::Scenario> scenarios;
-  // One capture pass per distinct bench (insertion order preserved for
-  // deterministic unit planning).
-  std::vector<std::pair<std::string, std::vector<CapturedSpec>>> captured;
-  std::vector<GridScenario> entries;
-};
-
-/// Parses `text` and validates every scenario against the compiled-in
-/// benches. Returns nullopt and fills `error` on the first violation.
-std::optional<GridPlan> LoadGrid(const std::string& text, std::string& error) {
-  GridPlan plan;
-  std::optional<std::vector<quicer::core::Scenario>> scenarios =
+/// Parses a scenario file (export-grid --check, run --grid, queue-init
+/// --grid, the worker) and resolves every scenario against the compiled-in
+/// benches: the bench exists, declares the sweep, and the scenario applies
+/// cleanly onto the declared spec. Each entry is the applied spec with its
+/// grid size. Returns nullopt and fills `error` on the first violation.
+std::optional<std::vector<CapturedSpec>> LoadGrid(const std::string& text,
+                                                  std::string& error) {
+  const std::optional<std::vector<quicer::core::Scenario>> scenarios =
       quicer::core::ParseScenarioFile(text, &error);
   if (!scenarios) return std::nullopt;
-  plan.scenarios = std::move(*scenarios);
 
-  for (const quicer::core::Scenario& scenario : plan.scenarios) {
+  std::map<std::string, std::vector<CapturedSpec>> declared;  // per bench
+  std::vector<CapturedSpec> entries;
+  for (const quicer::core::Scenario& scenario : *scenarios) {
     if (scenario.bench.empty()) {
       error = "scenario for sweep '" + scenario.sweep +
               "' misses its 'bench' (the registry name that owns the sweep)";
@@ -525,44 +598,34 @@ std::optional<GridPlan> LoadGrid(const std::string& text, std::string& error) {
       error = "unknown bench '" + scenario.bench + "' (see bench_suite --list)";
       return std::nullopt;
     }
-    std::vector<CapturedSpec>* specs = nullptr;
-    for (auto& [name, captured] : plan.captured) {
-      if (name == scenario.bench) specs = &captured;
-    }
-    if (specs == nullptr) {
-      plan.captured.emplace_back(scenario.bench, CaptureSpecs({*bench}, /*scale=*/1));
-      specs = &plan.captured.back().second;
+    auto specs = declared.find(scenario.bench);
+    if (specs == declared.end()) {
+      specs = declared.emplace(scenario.bench, CaptureSpecs({*bench}, /*scale=*/1)).first;
     }
     const CapturedSpec* live = nullptr;
-    for (const CapturedSpec& captured : *specs) {
+    for (const CapturedSpec& captured : specs->second) {
       if (captured.spec.name == scenario.sweep) live = &captured;
     }
     if (live == nullptr) {
       error = "bench '" + scenario.bench + "' has no sweep '" + scenario.sweep + "' (sweeps:";
-      for (const CapturedSpec& captured : *specs) error += " " + captured.spec.name;
+      for (const CapturedSpec& captured : specs->second) error += " " + captured.spec.name;
       error += ")";
       return std::nullopt;
     }
-    GridScenario entry;
-    entry.scenario = scenario;
-    entry.live = live;
-    entry.applied = live->spec;
-    if (!quicer::core::ApplyScenario(scenario, entry.applied, &error)) return std::nullopt;
-    entry.point_count = quicer::core::EnumerateCount(entry.applied);
-    plan.entries.push_back(std::move(entry));
-  }
-
-  // collect merges per sweep name: two scenarios for the same sweep would
-  // race on the same export files.
-  for (std::size_t i = 0; i < plan.entries.size(); ++i) {
-    for (std::size_t j = i + 1; j < plan.entries.size(); ++j) {
-      if (plan.entries[i].scenario.sweep == plan.entries[j].scenario.sweep) {
-        error = "duplicate scenario for sweep '" + plan.entries[i].scenario.sweep + "'";
+    CapturedSpec entry{scenario.bench, live->spec, 0};
+    if (!quicer::core::ApplyScenario(scenario, entry.spec, &error)) return std::nullopt;
+    entry.point_count = quicer::core::EnumerateCount(entry.spec);
+    // collect merges per sweep name: two scenarios for the same sweep would
+    // race on the same export files.
+    for (const CapturedSpec& earlier : entries) {
+      if (earlier.spec.name == entry.spec.name) {
+        error = "duplicate scenario for sweep '" + entry.spec.name + "'";
         return std::nullopt;
       }
     }
+    entries.push_back(std::move(entry));
   }
-  return plan;
+  return entries;
 }
 
 int RunExportGrid(int argc, char** argv) {
@@ -609,17 +672,15 @@ int RunExportGrid(int argc, char** argv) {
   if (check) {
     // export → parse → apply-to-live → re-export must reproduce the bytes.
     std::string error;
-    const std::optional<GridPlan> plan = LoadGrid(json, error);
+    const std::optional<std::vector<CapturedSpec>> plan = LoadGrid(json, error);
     if (!plan) {
       std::fprintf(stderr, "export-grid --check: exported file does not parse back: %s\n",
                    error.c_str());
       return 1;
     }
     std::vector<std::pair<std::string, const quicer::core::SweepSpec*>> reexport;
-    reexport.reserve(plan->entries.size());
-    for (const GridScenario& entry : plan->entries) {
-      reexport.emplace_back(entry.scenario.bench, &entry.applied);
-    }
+    reexport.reserve(plan->size());
+    for (const CapturedSpec& entry : *plan) reexport.emplace_back(entry.bench, &entry.spec);
     const std::string second = quicer::core::ScenarioFileJson(reexport);
     if (second != json) {
       std::size_t at = 0;
@@ -677,34 +738,21 @@ int RunGrid(int argc, char** argv) {
     return 2;
   }
   std::string error;
-  std::optional<GridPlan> plan = LoadGrid(*text, error);
+  const std::optional<std::vector<CapturedSpec>> plan = LoadGrid(*text, error);
   if (!plan) {
     std::fprintf(stderr, "run: %s: %s\n", grid_path.c_str(), error.c_str());
     return 2;
   }
   if (!RequireDataDirForSubset(options.context)) return 2;
-  // --points ids must exist in some scenario's grid.
-  for (std::size_t id : options.context.shard.points) {
-    bool known = false;
-    for (const GridScenario& entry : plan->entries) known = known || id < entry.point_count;
-    if (!known) {
-      std::fprintf(stderr, "--points: unknown point id %zu — no scenario grid has that"
-                   " many points\n", id);
-      for (const GridScenario& entry : plan->entries) {
-        std::fprintf(stderr, "  %-24s %zu points\n", entry.scenario.sweep.c_str(),
-                     entry.point_count);
-      }
-      return 2;
-    }
-  }
+  const int invalid = ValidatePoints(*plan, options.context.shard.points);
+  if (invalid != 0) return invalid;
 
   std::vector<RunJob> jobs;
-  jobs.reserve(plan->entries.size());
-  for (const GridScenario& entry : plan->entries) {
-    jobs.push_back({entry.scenario.sweep, entry.scenario.bench,
-                    [&entry](const BenchContext& context) {
-                      return RunResolvedSweep(entry.applied, context);
-                    }});
+  jobs.reserve(plan->size());
+  for (const CapturedSpec& entry : *plan) {
+    jobs.push_back({entry.spec.name, entry.bench,
+                    [&entry](const BenchContext&) { return std::vector<SweepSpec>{entry.spec}; },
+                    nullptr});
   }
   return RunJobs(jobs, options, "sweep", "scenarios from '" + grid_path + "'");
 }
@@ -753,7 +801,6 @@ int RunQueueInit(int argc, char** argv) {
 
   std::vector<quicer::dist::SweepInventory> sweeps;
   std::string grid_text;
-  std::size_t bench_count = 0;
   if (!grid_path.empty()) {
     // Data-defined plan: the scenario file is the single source of truth
     // for grids and repetitions; --filter/--scale would contradict it.
@@ -769,28 +816,12 @@ int RunQueueInit(int argc, char** argv) {
     }
     grid_text = *text;
     std::string error;
-    const std::optional<GridPlan> plan = LoadGrid(grid_text, error);
+    const std::optional<std::vector<CapturedSpec>> plan = LoadGrid(grid_text, error);
     if (!plan) {
       std::fprintf(stderr, "queue-init: %s: %s\n", grid_path.c_str(), error.c_str());
       return 2;
     }
-    std::vector<std::string> benches_seen;
-    for (const GridScenario& entry : plan->entries) {
-      quicer::dist::SweepInventory inventory;
-      inventory.bench = entry.scenario.bench;
-      inventory.sweep = entry.scenario.sweep;
-      inventory.point_count = entry.point_count;
-      inventory.repetitions =
-          entry.applied.repetitions > 0
-              ? static_cast<std::size_t>(entry.applied.repetitions)
-              : 1;
-      inventory.spec_hash = quicer::core::ScenarioHash(entry.applied);
-      sweeps.push_back(std::move(inventory));
-      bool seen = false;
-      for (const std::string& name : benches_seen) seen = seen || name == entry.scenario.bench;
-      if (!seen) benches_seen.push_back(entry.scenario.bench);
-    }
-    bench_count = benches_seen.size();
+    sweeps = InventoriesOf(*plan);
   } else {
     const std::vector<BenchInfo> selected = MatchFilters(filters);
     if (selected.empty()) {
@@ -798,8 +829,9 @@ int RunQueueInit(int argc, char** argv) {
       return 2;
     }
     sweeps = InventoriesOf(CaptureSpecs(selected, scale));
-    bench_count = selected.size();
   }
+  std::set<std::string> benches;
+  for (const quicer::dist::SweepInventory& sweep : sweeps) benches.insert(sweep.bench);
 
   const std::vector<quicer::dist::WorkUnit> units =
       quicer::dist::PlanUnits(sweeps, unit_runs);
@@ -854,7 +886,7 @@ int RunQueueInit(int argc, char** argv) {
   }
   std::printf("queue '%s': %zu benches, %zu sweeps, %zu units (%zu repetition-window"
               " units), %zu scheduled runs at scale %d%s\n",
-              queue_dir.c_str(), bench_count, sweeps.size(), units.size(), windowed,
+              queue_dir.c_str(), benches.size(), sweeps.size(), units.size(), windowed,
               total_runs, manifest.scale,
               grid_path.empty() ? "" : (" from grid '" + grid_path + "'").c_str());
   std::printf("next: run `bench_suite worker --queue=%s` on any host sharing the"
@@ -943,7 +975,7 @@ int RunWorkerCommand(int argc, char** argv) {
   // A grid-planned queue carries its scenario file: every unit runs its
   // scenario applied onto the captured live spec, the spec the plan hashed
   // — validated up front, before any unit is claimed.
-  std::optional<GridPlan> grid;
+  std::optional<std::vector<CapturedSpec>> grid;
   if (!queue->manifest().grid_file.empty()) {
     const std::string grid_path =
         (std::filesystem::path(queue_dir) / queue->manifest().grid_file).string();
@@ -964,10 +996,8 @@ int RunWorkerCommand(int argc, char** argv) {
   std::map<std::string, std::vector<CapturedSpec>> captured;
   auto resolve = [&](const quicer::dist::WorkUnit& unit) -> const quicer::core::SweepSpec* {
     if (grid) {
-      for (const GridScenario& entry : grid->entries) {
-        if (entry.scenario.bench == unit.bench && entry.scenario.sweep == unit.sweep) {
-          return &entry.applied;
-        }
+      for (const CapturedSpec& entry : *grid) {
+        if (entry.bench == unit.bench && entry.spec.name == unit.sweep) return &entry.spec;
       }
       return nullptr;
     }
@@ -1013,7 +1043,8 @@ int RunWorkerCommand(int argc, char** argv) {
       *last_beat = now;
       queue->Heartbeat(worker_id);
     };
-    return RunResolvedSweep(*spec, context);
+    RunBench({*spec}, nullptr, context);
+    return 0;
   };
 
   const quicer::dist::WorkerStats stats = RunWorker(*queue, options, runner, stderr);
@@ -1119,34 +1150,6 @@ int RunCollect(int argc, char** argv) {
   return ok ? 0 : 1;
 }
 
-/// --points ids are validated against the enumerated grids of the selected
-/// benches: an id no sweep can serve is an error, not a silent no-op.
-int ValidatePoints(const std::vector<BenchInfo>& selected, const BenchContext& context) {
-  const std::vector<quicer::dist::SweepInventory> sweeps =
-      InventoriesOf(CaptureSpecs(selected, context.scale));
-  std::size_t max_points = 0;
-  for (const quicer::dist::SweepInventory& sweep : sweeps) {
-    max_points = std::max(max_points, sweep.point_count);
-  }
-  std::string unknown;
-  for (std::size_t id : context.shard.points) {
-    if (id >= max_points) {
-      if (!unknown.empty()) unknown += ',';
-      unknown += std::to_string(id);
-    }
-  }
-  if (unknown.empty()) return 0;
-  std::fprintf(stderr,
-               "--points: unknown point id(s) %s — no selected sweep has that many "
-               "points. Enumerated grids:\n",
-               unknown.c_str());
-  for (const quicer::dist::SweepInventory& sweep : sweeps) {
-    std::fprintf(stderr, "  %-24s %zu points (ids 0..%zu)\n", sweep.sweep.c_str(),
-                 sweep.point_count, sweep.point_count > 0 ? sweep.point_count - 1 : 0);
-  }
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1192,12 +1195,17 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!context.shard.points.empty()) {
-    const int invalid = ValidatePoints(selected, context);
+    const int invalid =
+        ValidatePoints(CaptureSpecs(selected, context.scale), context.shard.points);
     if (invalid != 0) return invalid;
   }
 
   std::vector<RunJob> jobs;
   jobs.reserve(selected.size());
-  for (const BenchInfo& bench : selected) jobs.push_back({bench.name, bench.name, bench.run});
+  for (const BenchInfo& bench : selected) {
+    jobs.push_back({bench.name, bench.name,
+                    [&bench](const BenchContext& run) { return bench.specs(run.scale); },
+                    bench.report});
+  }
   return RunJobs(jobs, options, "bench", "benches");
 }

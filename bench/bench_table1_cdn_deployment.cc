@@ -19,13 +19,17 @@
 #include "registry.h"
 #include "scan/sweep_runners.h"
 
-QUICER_BENCH("table1", "Table 1: CDN-hosted domains and instant-ACK deployment") {
-  using namespace quicer;
-  core::PrintTitle("Table 1: CDN-hosted domains and instant-ACK deployment (Tranco Top-1M)");
+namespace {
 
-  // 100k-domain population scaled from the 1M list (counts scaled back up).
-  constexpr std::size_t kPopulation = 100000;
-  auto population = std::make_shared<const scan::TrancoPopulation>(kPopulation, /*seed=*/2024);
+using namespace quicer;
+
+// 100k-domain population scaled from the 1M list (counts scaled back up).
+constexpr std::size_t kPopulation = 100000;
+constexpr std::uint64_t kPopulationSeed = 2024;
+
+// The repetition index is the population rank, so --scale leaves it alone.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
+  auto population = std::make_shared<const scan::TrancoPopulation>(kPopulation, kPopulationSeed);
 
   core::SweepSpec spec;
   spec.name = "table1";
@@ -43,9 +47,13 @@ QUICER_BENCH("table1", "Table 1: CDN-hosted domains and instant-ACK deployment")
         if (!result.success) return core::NoSample();
         return result.iack_observed ? 1.0 : 0.0;
       }});
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
+
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Table 1: CDN-hosted domains and instant-ACK deployment (Tranco Top-1M)");
+  // The domain counts come from the population the sweep probed.
+  const scan::TrancoPopulation population(kPopulation, kPopulationSeed);
 
   struct Row {
     int domains = 0;
@@ -53,8 +61,8 @@ QUICER_BENCH("table1", "Table 1: CDN-hosted domains and instant-ACK deployment")
     double max_share = 0.0;
   };
   std::map<scan::Cdn, Row> rows;
-  for (scan::Cdn cdn : scan::kAllCdns) rows[cdn].domains = population->CountQuic(cdn);
-  for (const core::PointSummary& summary : result.points) {
+  for (scan::Cdn cdn : scan::kAllCdns) rows[cdn].domains = population.CountQuic(cdn);
+  for (const core::PointSummary& summary : results[0].points) {
     if (summary.values().count() == 0) continue;
     const double share = summary.values().mean();
     Row& row = rows[*scan::PointCdn(summary.point)];
@@ -67,7 +75,7 @@ QUICER_BENCH("table1", "Table 1: CDN-hosted domains and instant-ACK deployment")
   const char* paper[] = {"32.2 / 12.9", "41.0 / 18.0", "99.9 / 0.1", "0.0 / 0.0",
                          "11.5 / 11.5", "0.0 / 0.0",   "0.0 / 0.0",  "21.5 / 2.3"};
   int index = 0;
-  const double scale = 1.0 / population->scale();
+  const double scale = 1.0 / population.scale();
   for (scan::Cdn cdn : scan::kAllCdns) {
     const Row& row = rows[cdn];
     const double share = row.max_share * 100.0;
@@ -79,6 +87,8 @@ QUICER_BENCH("table1", "Table 1: CDN-hosted domains and instant-ACK deployment")
   std::printf("\nNote: IACK share counts only *separate* ACKs preceding the SH; cached\n"
               "certificates produce coalesced ACK+SH and lower the observed share for\n"
               "popular domains, as in the paper's Cloudflare analysis.\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("table1", "Table 1: CDN-hosted domains and instant-ACK deployment", Specs, Report);

@@ -28,15 +28,14 @@ core::MetricSpec ProbesMetricSpec() {
           &ProbesMetric};
 }
 
-core::SweepSpec BaseSpec(const bench::BenchContext& ctx) {
+core::SweepSpec BaseSpec(int scale) {
   core::SweepSpec spec;
   spec.base.client = clients::ClientImpl::kNgtcp2;
   spec.base.rtt = sim::Millis(9);
   spec.base.response_body_bytes = http::kSmallFileBytes;
   spec.axes.behaviors = {quic::ServerBehavior::kWaitForCertificate,
                          quic::ServerBehavior::kInstantAck};
-  spec.repetitions = 15;
-  bench::Tune(spec, ctx);
+  spec.repetitions = 15 * scale;
   return spec;
 }
 
@@ -97,14 +96,10 @@ void PrintCell(std::size_t cert, core::LossCase loss, sim::Duration delta,
               advised == measured ? "agree" : "DIFFER");
 }
 
-}  // namespace
-
-QUICER_BENCH("table2", "Table 2: deployment guidelines (advisor vs simulator)") {
-  core::PrintTitle("Table 2: deployment guidelines (advisor vs simulator)");
-
+std::vector<core::SweepSpec> Specs(int scale) {
   // Loss grid: the two measured loss scenarios at Δt = 0 with the small
   // certificate (the large-certificate loss cells are paper synthesis).
-  core::SweepSpec loss_spec = BaseSpec(ctx);
+  core::SweepSpec loss_spec = BaseSpec(scale);
   loss_spec.name = "table2_loss";
   loss_spec.axes.losses = {
       {"first-server-flight-tail", core::LossCase::kFirstServerFlightTail, {}},
@@ -114,7 +109,7 @@ QUICER_BENCH("table2", "Table 2: deployment guidelines (advisor vs simulator)") 
   loss_probes.metrics = {ProbesMetricSpec()};
 
   // Δt grid: no loss, both certificate sizes, the two measured Δt values.
-  core::SweepSpec delay_spec = BaseSpec(ctx);
+  core::SweepSpec delay_spec = BaseSpec(scale);
   delay_spec.name = "table2_delay";
   delay_spec.axes.certificate_sizes = {tls::kSmallCertificateBytes,
                                        tls::kLargeCertificateBytes};
@@ -123,14 +118,15 @@ QUICER_BENCH("table2", "Table 2: deployment guidelines (advisor vs simulator)") 
   delay_probes.name = "table2_delay_probes";
   delay_probes.metrics = {ProbesMetricSpec()};
 
-  const core::SweepResult loss_ttfb_r = core::RunSweep(loss_spec);
-  const core::SweepResult loss_probes_r = core::RunSweep(loss_probes);
-  const core::SweepResult delay_ttfb_r = core::RunSweep(delay_spec);
-  const core::SweepResult delay_probes_r = core::RunSweep(delay_probes);
-  if (bench::AnyPartialExported(
-          {&loss_ttfb_r, &loss_probes_r, &delay_ttfb_r, &delay_probes_r})) {
-    return 0;
-  }
+  return {loss_spec, loss_probes, delay_spec, delay_probes};
+}
+
+void Report(const std::vector<core::SweepResult>& results) {
+  const core::SweepResult& loss_ttfb_r = results[0];
+  const core::SweepResult& loss_probes_r = results[1];
+  const core::SweepResult& delay_ttfb_r = results[2];
+  const core::SweepResult& delay_probes_r = results[3];
+  core::PrintTitle("Table 2: deployment guidelines (advisor vs simulator)");
 
   auto loss_cell = [&](const std::string& label, quic::ServerBehavior behavior) {
     return Extract(loss_ttfb_r, loss_probes_r,
@@ -179,9 +175,8 @@ QUICER_BENCH("table2", "Table 2: deployment guidelines (advisor vs simulator)") 
               "amplification blocking; the paper derives them analytically (row 2:\n"
               "always IACK). Our engine can measure them too — see EXPERIMENTS.md for\n"
               "the nuance it surfaces (the server-no-sample penalty persists).\n");
-  core::MaybeWriteSweepData(loss_ttfb_r);
-  core::MaybeWriteSweepData(loss_probes_r);
-  core::MaybeWriteSweepData(delay_ttfb_r);
-  core::MaybeWriteSweepData(delay_probes_r);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("table2", "Table 2: deployment guidelines (advisor vs simulator)", Specs, Report);

@@ -16,10 +16,12 @@
 #include "core/report.h"
 #include "registry.h"
 
-QUICER_BENCH("table3", "Table 3: first ACK Delay per server implementation") {
-  using namespace quicer;
-  core::PrintTitle("Table 3: first ACK Delay per server implementation");
+namespace {
 
+using namespace quicer;
+
+// Profile constants, one repetition: --scale leaves the grid alone.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
   core::SweepSpec spec;
   spec.name = "table3";
   core::SweepExtraAxis servers;
@@ -44,14 +46,15 @@ QUICER_BENCH("table3", "Table 3: first ACK Delay per server implementation") {
     return std::vector<double>{delay(profile.initial_ack_delay),
                                delay(profile.handshake_ack_delay)};
   };
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Table 3: first ACK Delay per server implementation");
   std::printf("%12s  %16s  %18s\n", "server", "Initial [ms]", "Handshake [ms]");
   int zero_count = 0;
   int no_hs_ack = 0;
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : results[0].points) {
     const auto& initial_trace = summary.Metric("initial_ack_delay_ms")->trace;
     const auto& handshake_trace = summary.Metric("handshake_ack_delay_ms")->trace;
     char initial[32] = "-";
@@ -72,6 +75,8 @@ QUICER_BENCH("table3", "Table 3: first ACK Delay per server implementation") {
               "%d send no Handshake-space acknowledgment (paper: 11+); msquic sends no\n"
               "Initial/Handshake ACKs at all; s2n-quic's reported delay exceeds the RTT.\n",
               zero_count, no_hs_ack);
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("table3", "Table 3: first ACK Delay per server implementation", Specs, Report);

@@ -13,10 +13,12 @@
 #include "clients/profiles.h"
 #include "registry.h"
 
-QUICER_BENCH("table4", "Table 4: client default PTO and second-flight datagrams") {
-  using namespace quicer;
-  core::PrintTitle("Table 4: client default PTO and second-flight datagrams");
+namespace {
 
+using namespace quicer;
+
+// One deterministic handshake per client: --scale leaves the grid alone.
+std::vector<core::SweepSpec> Specs(int /*scale*/) {
   core::SweepSpec spec;
   spec.name = "table4";
   spec.base.rtt = sim::Millis(9);
@@ -28,13 +30,14 @@ QUICER_BENCH("table4", "Table 4: client default PTO and second-flight datagrams"
                    [](const core::ExperimentResult& r) {
                      return static_cast<double>(r.client.datagrams_sent);
                    }}};
-  bench::TuneObserver(spec, ctx);
-  const core::SweepResult result = core::RunSweep(spec);
-  if (bench::PartialExported(result)) return 0;
+  return {spec};
+}
 
+void Report(const std::vector<core::SweepResult>& results) {
+  core::PrintTitle("Table 4: client default PTO and second-flight datagrams");
   std::printf("%10s  %16s  %22s  %24s\n", "client", "default PTO [ms]",
               "second flight datagrams", "observed client datagrams");
-  for (const core::PointSummary& summary : result.points) {
+  for (const core::PointSummary& summary : results[0].points) {
     const clients::ClientImpl impl = summary.point.config.client;
     const int flight = clients::SecondFlightDatagrams(impl);
     char indices[32];
@@ -49,6 +52,8 @@ QUICER_BENCH("table4", "Table 4: client default PTO and second-flight datagrams"
   std::printf("\nImplementations choose far lower default PTOs than the RFC's 999 ms to\n"
               "improve loss recovery; coalescing spreads the second flight over 1-4\n"
               "datagrams (quiche: 1, neqo: 2, picoquic: 4, others: 3).\n");
-  core::MaybeWriteSweepData(result);
-  return 0;
 }
+
+}  // namespace
+
+QUICER_BENCH("table4", "Table 4: client default PTO and second-flight datagrams", Specs, Report);

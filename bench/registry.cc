@@ -45,9 +45,10 @@ const BenchInfo* Registry::Find(const std::string& name) const {
   return nullptr;
 }
 
-Registrar::Registrar(std::string name, std::string description,
-                     std::function<int(const BenchContext&)> run) {
-  Registry::Instance().Add(BenchInfo{std::move(name), std::move(description), std::move(run)});
+Registrar::Registrar(std::string name, std::string description, SpecsFn specs,
+                     ReportFn report) {
+  Registry::Instance().Add(
+      BenchInfo{std::move(name), std::move(description), std::move(specs), std::move(report)});
 }
 
 }  // namespace quicer::bench

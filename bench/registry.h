@@ -2,23 +2,24 @@
 // (bench_suite) can list and run any subset of the paper's figures/tables on
 // the shared thread pool.
 //
-// Suite-wide options (--scale, --progress, --shard, --budget-seconds) reach
-// the benches as an explicit BenchContext argument threaded through the
-// registry — not environment variables — so a bench body reads everything it
-// needs from its `ctx` parameter.
-//
 // lint:allow-file(ND002): the suite budget clock is wall time by design.
 //
-// A bench file contains one or more registrations:
+// A bench is data plus a printout. It registers two functions:
 //
-//   QUICER_BENCH("fig05", "Figure 5: TTFB under amplification limits") {
-//     ...            // bench body; `ctx` is the BenchContext; returns an
-//   }                // int exit code
+//   std::vector<core::SweepSpec> Specs(int scale);   // its sweeps
+//   void Report(const std::vector<core::SweepResult>& results);
+//   QUICER_BENCH("fig05", "Figure 5: TTFB under amplification limits", Specs, Report);
 //
-// Every registered bench is linked into bench_suite, which runs the bodies
-// on the compiled-in grids (`bench_suite --filter=fig05`). Data-defined runs
-// (`run --grid`, queue workers) do not enter the bodies: they execute the
-// sweep specs a body declares, captured by CaptureSpecs (bench_common.h).
+// `specs` is pure: it declares the bench's sweeps with repetitions already
+// multiplied by --scale (and, above scale 1, its denser axes), and does no
+// I/O and runs nothing. `report` prints the bench's analysis from complete
+// results, one per spec in declaration order. bench_suite owns everything
+// in between: it tunes each spec with the suite options (BenchContext) right
+// before running it, writes its exports, and calls `report` only when every
+// sweep of the bench came back complete. The same specs feed export-grid,
+// `run --grid`, queue-init and the workers through CaptureSpecs
+// (bench_common.h), so a captured spec is exactly what the compiled-in run
+// executes.
 #pragma once
 
 #include <chrono>
@@ -30,8 +31,7 @@
 
 namespace quicer::bench {
 
-/// Suite-wide options handed to every bench body, replacing the former
-/// QUICER_BENCH_SCALE / QUICER_BENCH_PROGRESS environment plumbing.
+/// Suite-wide options bench_suite applies to every sweep it runs.
 struct BenchContext {
   /// Repetition multiplier for experiment-driven sweeps (--scale; the
   /// paper's grids correspond to 4). Scaled runs also widen RTT/Δt axes.
@@ -47,30 +47,30 @@ struct BenchContext {
   /// Grid subset this process executes (--shard=i/N, --points=ids and/or
   /// --rep-range=a:b).
   core::SweepShard shard;
-  /// When set, every sweep enumerates its grid into this sink instead of
-  /// executing (spec capture: export-grid, --grid, queue-init, --points
-  /// validation).
-  core::SweepEnumerateSink enumerate;
   /// Extra per-point observer, chained before the --progress printer. The
   /// work-queue worker refreshes its lease heartbeat here.
   core::SweepObserver observer;
   /// When non-empty, every run of every executed sweep writes its qlog
   /// trace pair under this directory (--qlog-dir; forwarded into
-  /// SweepSpec::qlog_dir by the context tuner).
+  /// SweepSpec::qlog_dir when the sweep is tuned).
   std::string qlog_dir;
 
-  /// True when a scaled run should also widen its RTT/Δt axes.
-  bool dense_axes() const { return scale > 1; }
   /// Seconds left of the suite budget (0 = unlimited). Once the budget is
   /// exhausted this stays at a tiny positive value, so subsequent sweeps
   /// budget-skip all of their points instead of running unbounded.
   double RemainingBudgetSeconds() const;
 };
 
+/// A bench's sweeps at a --scale (see the file comment).
+using SpecsFn = std::function<std::vector<core::SweepSpec>(int scale)>;
+/// Prints a bench's analysis from its complete results, in spec order.
+using ReportFn = std::function<void(const std::vector<core::SweepResult>& results)>;
+
 struct BenchInfo {
   std::string name;         // machine name, e.g. "fig05"
   std::string description;  // one-line human description
-  std::function<int(const BenchContext&)> run;
+  SpecsFn specs;
+  ReportFn report;
 };
 
 class Registry {
@@ -92,25 +92,19 @@ class Registry {
 };
 
 struct Registrar {
-  Registrar(std::string name, std::string description,
-            std::function<int(const BenchContext&)> run);
+  Registrar(std::string name, std::string description, SpecsFn specs, ReportFn report);
 };
 
 #define QUICER_BENCH_CONCAT_(a, b) a##b
 #define QUICER_BENCH_CONCAT(a, b) QUICER_BENCH_CONCAT_(a, b)
 
-/// Registers one bench. A file may contain several QUICER_BENCH blocks (the
+/// Registers one bench. A file may contain several QUICER_BENCH lines (the
 /// ACK-Delay ablation registers its two sections separately); the line
-/// number keeps the registrar symbols distinct. The body sees the suite
-/// options as `ctx`.
-#define QUICER_BENCH(name_str, description_str)                                         \
-  static int QUICER_BENCH_CONCAT(QuicerBenchBody, __LINE__)(                            \
-      const ::quicer::bench::BenchContext& ctx);                                        \
-  static const ::quicer::bench::Registrar QUICER_BENCH_CONCAT(                          \
-      quicer_bench_registrar_, __LINE__){name_str, description_str,                     \
-                                         &QUICER_BENCH_CONCAT(QuicerBenchBody,          \
-                                                              __LINE__)};               \
-  static int QUICER_BENCH_CONCAT(QuicerBenchBody, __LINE__)(                            \
-      [[maybe_unused]] const ::quicer::bench::BenchContext& ctx)
+/// number keeps the registrar symbols distinct.
+#define QUICER_BENCH(name_str, description_str, specs_fn, report_fn)             \
+  static const ::quicer::bench::Registrar QUICER_BENCH_CONCAT(                   \
+      quicer_bench_registrar_, __LINE__) {                                       \
+    name_str, description_str, specs_fn, report_fn                               \
+  }
 
 }  // namespace quicer::bench

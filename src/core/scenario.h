@@ -16,8 +16,8 @@
 // Functions do not serialize. A SweepSpec's variant mutations, metric
 // extractors and runners are C++ closures; a scenario file refers to them
 // *by label* and ApplyScenario resolves the labels against the live spec
-// of the same (bench, sweep) — captured via the enumerate pass, no
-// experiments run — plus builtin metrics ("ttfb_ms", "response_ttfb_ms").
+// of the same (bench, sweep) — the spec the bench declares, no experiments
+// run — plus builtin metrics ("ttfb_ms", "response_ttfb_ms").
 // So `bench_suite export-grid B | bench_suite run --grid=-` reproduces the
 // compiled-in grid byte for byte, and a hand-edited copy sweeps axes the
 // paper never shipped without touching a compiler.

@@ -346,7 +346,7 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
   // snapshot to this sweep. Sweeps never overlap within a process (benches
   // run serially; RunSweep itself is the parallel unit), so a process-wide
   // reset per sweep is sound.
-  const bool telemetry = obs::ProcessEnabled() && !spec.enumerate_sink;
+  const bool telemetry = obs::ProcessEnabled();
   if (telemetry) {
     obs::EnsureThisThread();
     obs::ResetAll();
@@ -373,12 +373,6 @@ SweepResult RunSweep(const SweepSpec& spec, unsigned max_parallelism) {
       summary.metrics.push_back(std::move(series));
     }
     result.points.push_back(std::move(summary));
-  }
-
-  if (spec.enumerate_sink) {
-    result.enumerate_only = true;
-    spec.enumerate_sink(spec, result);
-    return result;
   }
 
   // The execute phase covers only the shard's points; the others keep their

@@ -34,7 +34,10 @@
 //
 //  * enumerate — Enumerate(spec) assigns every SweepPoint a stable id
 //    (SweepPoint::index), derived only from the spec's axes: independent of
-//    thread count, shard layout and execution order.
+//    thread count, shard layout and execution order. It is a pure function
+//    of the spec, so planning (grid export, queue plans, --points checks)
+//    calls it — or the closed-form EnumerateCount — on a declared spec and
+//    never enters RunSweep.
 //  * execute — RunSweep(spec) runs the subset selected by spec.shard (a
 //    round-robin i-of-N shard, an explicit point-id list, and/or a
 //    repetition window; the default selects everything). Because the seed
@@ -256,13 +259,6 @@ struct SweepProgress {
 /// concurrently), from whichever worker finished the point.
 using SweepObserver = std::function<void(const SweepProgress&)>;
 
-struct SweepSpec;
-struct SweepResult;
-
-/// Receives the enumerated (but unexecuted) result when a spec carries an
-/// enumerate_sink; see SweepSpec::enumerate_sink.
-using SweepEnumerateSink = std::function<void(const SweepSpec&, const SweepResult&)>;
-
 struct SweepSpec {
   /// Short machine name ("fig05", "table2_probes"); names CSV/JSON output.
   std::string name;
@@ -306,13 +302,6 @@ struct SweepSpec {
   /// outside the shard stay in the result with their metadata but empty
   /// series and executed == false.
   SweepShard shard;
-
-  /// When set, RunSweep enumerates the grid, hands (spec, result) to the
-  /// sink and returns without executing anything (the returned result has
-  /// enumerate_only set). The work-queue init phase uses this to learn
-  /// every bench's grids — point counts, repetitions, sweep names —
-  /// without running a single experiment.
-  SweepEnumerateSink enumerate_sink;
 
   /// When non-empty, the default runner captures a full qlog trace per
   /// repetition (structured events included) and writes
@@ -405,10 +394,6 @@ struct SweepResult {
   std::size_t reservoir_capacity = stats::Accumulator::kDefaultReservoirCapacity;
   std::uint64_t seed_base = 0;
   std::uint64_t seed_stride = 0;
-
-  /// True when the spec carried an enumerate_sink: the grid metadata is
-  /// populated but nothing ran (and nothing should be exported).
-  bool enumerate_only = false;
 
   /// Content-hash of the spec's serializable data (core::ScenarioHash),
   /// stamped by RunSweep, carried through partial files and work units, and

@@ -4,17 +4,26 @@
 // applied spec must equal the original's. This is the compile-time grids'
 // contract with the --grid workflow: a file produced by export-grid always
 // runs exactly the compiled-in grid.
+//
+// The suite-budget tests drive the bench_suite driver itself: its source is
+// compiled into this test with main() renamed, so they run the very
+// RunBench the binary runs.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "core/scenario.h"
 #include "registry.h"
+
+#define main BenchSuiteMain
+#include "bench_suite.cc"
+#undef main
 
 namespace quicer {
 namespace {
@@ -25,6 +34,31 @@ using bench::CapturedSpec;
 /// through the same capture helper the shipping export-grid path uses.
 std::vector<CapturedSpec> CaptureAll() {
   return bench::CaptureSpecs(bench::Registry::Instance().Benches(), /*scale=*/1);
+}
+
+/// The scenario file of a capture: every serializable byte of every spec.
+std::string ScenarioFileOf(const std::vector<CapturedSpec>& specs) {
+  std::vector<std::pair<std::string, const core::SweepSpec*>> entries;
+  for (const CapturedSpec& captured : specs) entries.emplace_back(captured.bench, &captured.spec);
+  return core::ScenarioFileJson(entries);
+}
+
+TEST(SpecCapture, IsRepeatable) {
+  EXPECT_EQ(ScenarioFileOf(CaptureAll()), ScenarioFileOf(CaptureAll()));
+}
+
+TEST(SpecCapture, PrintsNothing) {
+  testing::internal::CaptureStdout();
+  const std::vector<CapturedSpec> specs = CaptureAll();
+  EXPECT_EQ(testing::internal::GetCapturedStdout(), "");
+  EXPECT_FALSE(specs.empty());
+}
+
+TEST(SpecCapture, PointCountsMatchTheEnumeratedGrids) {
+  for (const CapturedSpec& captured : CaptureAll()) {
+    EXPECT_EQ(captured.point_count, core::Enumerate(captured.spec).size())
+        << captured.bench << "/" << captured.spec.name;
+  }
 }
 
 TEST(GridRoundTrip, EveryRegisteredBenchIsCaptured) {
@@ -38,10 +72,7 @@ TEST(GridRoundTrip, EveryRegisteredBenchIsCaptured) {
 TEST(GridRoundTrip, ExportParseApplyReexportIsByteIdentical) {
   std::vector<CapturedSpec> specs = CaptureAll();
   ASSERT_FALSE(specs.empty());
-
-  std::vector<std::pair<std::string, const core::SweepSpec*>> entries;
-  for (const CapturedSpec& captured : specs) entries.emplace_back(captured.bench, &captured.spec);
-  const std::string exported = core::ScenarioFileJson(entries);
+  const std::string exported = ScenarioFileOf(specs);
 
   std::string error;
   const std::optional<std::vector<core::Scenario>> scenarios =
@@ -106,6 +137,14 @@ TEST(GridRoundTrip, MutatedAxisChangesTheContentHash) {
   EXPECT_NE(core::ScenarioHash(mutated), core::ScenarioHash(*fig06));
 }
 
+/// A runner that returns 1.0 after `sleep`.
+core::SweepRunner SleepingRunner(std::chrono::milliseconds sleep) {
+  return [sleep](const core::SweepRunContext&) {
+    std::this_thread::sleep_for(sleep);
+    return std::vector<double>{1.0};
+  };
+}
+
 TEST(SuiteBudget, ExhaustedBudgetExecutesNoRun) {
   // A suite budget that ran out before the sweep started skips every point
   // (it is not "unlimited"), however fast the runs are.
@@ -113,13 +152,42 @@ TEST(SuiteBudget, ExhaustedBudgetExecutesNoRun) {
   ctx.budget_seconds = 1e-6;
   ctx.suite_start = std::chrono::steady_clock::now() - std::chrono::seconds(1);
   core::SweepSpec spec;
+  spec.name = "budget_exhausted";
   spec.axes.rtts = {sim::Millis(1), sim::Millis(2), sim::Millis(3), sim::Millis(4)};
   spec.repetitions = 1000;
-  spec.runner = [](const core::SweepRunContext&) { return std::vector<double>{1.0}; };
-  const core::SweepResult result = core::RunSweep(bench::TuneObserver(spec, ctx), 1);
-  EXPECT_GT(spec.time_budget_seconds, 0.0);
-  EXPECT_EQ(result.executed_runs, 0u);
-  for (const core::PointSummary& point : result.points) EXPECT_TRUE(point.budget_skipped);
+  spec.runner = SleepingRunner(std::chrono::milliseconds(0));
+  const std::vector<core::SweepResult> results = RunBench({spec}, nullptr, ctx);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].executed_runs, 0u);
+  for (const core::PointSummary& point : results[0].points) EXPECT_TRUE(point.budget_skipped);
+}
+
+TEST(SuiteBudget, EachSweepGetsTheBudgetLeftWhenItStarts) {
+  // The first sweep spends 100 ms of a 60 ms budget. Handed out before the
+  // first sweep ran, the budget would grant the second sweep a fresh 60 ms
+  // of its own; tuned right before it runs, the second sweep finds the
+  // budget spent and skips every point — and the bench's report, which
+  // needs complete results, never runs.
+  bench::BenchContext ctx;
+  ctx.budget_seconds = 0.060;
+  ctx.suite_start = std::chrono::steady_clock::now();
+  core::SweepSpec slow;
+  slow.name = "budget_slow";
+  slow.repetitions = 1;
+  slow.runner = SleepingRunner(std::chrono::milliseconds(100));
+  core::SweepSpec fast;
+  fast.name = "budget_fast";
+  fast.axes.rtts = {sim::Millis(1), sim::Millis(2), sim::Millis(3), sim::Millis(4)};
+  fast.repetitions = 1;
+  fast.runner = SleepingRunner(std::chrono::milliseconds(0));
+  bool reported = false;
+  const std::vector<core::SweepResult> results = RunBench(
+      {slow, fast}, [&](const std::vector<core::SweepResult>&) { reported = true; }, ctx);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].executed_runs, 1u);
+  EXPECT_EQ(results[1].executed_runs, 0u);
+  for (const core::PointSummary& point : results[1].points) EXPECT_TRUE(point.budget_skipped);
+  EXPECT_FALSE(reported);
 }
 
 }  // namespace
