@@ -467,7 +467,7 @@ std::vector<SweepResult> RunBench(std::vector<SweepSpec> specs, const ReportFn& 
 struct RunJob {
   std::string label;
   std::string bench;  // telemetry attribution
-  std::function<std::vector<SweepSpec>(const BenchContext&)> specs;
+  std::function<std::vector<SweepSpec>()> specs;
   ReportFn report;
 };
 
@@ -481,7 +481,7 @@ int RunJobs(const std::vector<RunJob>& jobs, RunOptions& options, const char* co
   for (const RunJob& job : jobs) {
     quicer::obs::SetCurrentBench(job.bench);
     const auto start = std::chrono::steady_clock::now();
-    RunBench(job.specs(options.context), job.report, options.context);
+    RunBench(job.specs(), job.report, options.context);
     timings.emplace_back(job.label, SecondsSince(start));
   }
   quicer::obs::SetCurrentBench("");
@@ -751,7 +751,7 @@ int RunGrid(int argc, char** argv) {
   jobs.reserve(plan->size());
   for (const CapturedSpec& entry : *plan) {
     jobs.push_back({entry.spec.name, entry.bench,
-                    [&entry](const BenchContext&) { return std::vector<SweepSpec>{entry.spec}; },
+                    [&entry] { return std::vector<SweepSpec>{entry.spec}; },
                     nullptr});
   }
   return RunJobs(jobs, options, "sweep", "scenarios from '" + grid_path + "'");
@@ -1204,7 +1204,7 @@ int main(int argc, char** argv) {
   jobs.reserve(selected.size());
   for (const BenchInfo& bench : selected) {
     jobs.push_back({bench.name, bench.name,
-                    [&bench](const BenchContext& run) { return bench.specs(run.scale); },
+                    [&bench, scale = context.scale] { return bench.specs(scale); },
                     bench.report});
   }
   return RunJobs(jobs, options, "bench", "benches");
